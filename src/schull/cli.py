@@ -109,12 +109,6 @@ def _add_compute_args(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=None, help="override sample coefficient")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; estimators are sequential, values > 1 are accepted",
-    )
 
 
 def _resolve_method(stat: str, method: str | None) -> str:

@@ -32,6 +32,16 @@ from .geometry import EPS_GEO, HULL_DIMS, as_point, project_orthocomplement
 ANG_EPS = 1e-9
 
 
+def _zero_log_split(omp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(is_zero, log) of absence probabilities, with log 0 where is_zero.
+
+    Products of absence probabilities become sums of logs plus a count of
+    zero factors, so removing a factor from a product never divides by 0.
+    """
+    is_zero = omp <= 0.0
+    return is_zero, np.where(is_zero, 0.0, np.log(np.where(is_zero, 1.0, omp)))
+
+
 def membership_prob_1d(ds: StochasticDataset, q) -> float:
     """Probability that q lies in the hull (interval) of a 1-d realization.
 
@@ -85,9 +95,7 @@ def membership_prob_2d(ds: StochasticDataset, q) -> float:
             )
     order = np.argsort(theta, kind="stable")
     ts = theta[order]
-    omp_s = (1.0 - ds.probs)[order]
-    zero_s = omp_s <= 0.0
-    log_s = np.where(zero_s, 0.0, np.log(np.where(zero_s, 1.0, omp_s)))
+    zero_s, log_s = _zero_log_split((1.0 - ds.probs)[order])
     zeros2 = np.concatenate([zero_s, zero_s]).astype(np.intp)
     logs2 = np.concatenate([log_s, log_s])
     cz = np.concatenate([[0], np.cumsum(zeros2)])
@@ -202,9 +210,7 @@ def hyperplane_statistics(
     if d not in HULL_DIMS:
         raise CapabilityError(f"hyperplane sweep supports dimensions {HULL_DIMS}")
     pts = ds.points
-    omp = 1.0 - ds.probs
-    is_zero = omp <= 0.0
-    logs = np.where(is_zero, 0.0, np.log(np.where(is_zero, 1.0, omp)))
+    is_zero, logs = _zero_log_split(1.0 - ds.probs)
     count = 0
     for fixed in combinations(range(n), d - 1):
         base = pts[fixed[0]]

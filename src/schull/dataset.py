@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import CapabilityError, DatasetError
-from .geometry import HULL_DIMS, as_points, convex_hull, pointset_width
+from .geometry import HULL_DIMS, as_points, convex_hull, distance_matrix, pointset_width
 
 # Enumeration walks all 2^n realizations; past this the oracle is hopeless.
 MAX_ENUM_POINTS = 22
@@ -62,9 +62,6 @@ class StochasticDataset:
     @property
     def dim(self) -> int:
         return int(self.points.shape[1])
-
-    def subset_points(self, indices) -> np.ndarray:
-        return self.points[np.asarray(indices, dtype=np.intp)]
 
     def __repr__(self) -> str:
         return f"StochasticDataset(n={len(self)}, dim={self.dim})"
@@ -209,8 +206,7 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
     pts = ds.points
     total = 0.0
     if statistic == "diameter":
-        diff = pts[:, None, :] - pts[None, :, :]
-        dmat = np.sqrt((diff * diff).sum(axis=2))
+        dmat = distance_matrix(pts)
         for mask in range(1 << n):
             idx = [i for i in range(n) if mask >> i & 1]
             if len(idx) < 2:

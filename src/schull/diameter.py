@@ -20,7 +20,14 @@ import numpy as np
 
 from .dataset import StochasticDataset, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import EPS_GEO, as_points, flat_through, lex_ranks
+from .geometry import (
+    after_in_order,
+    as_points,
+    distance_matrix,
+    flat_through,
+    last_in_order,
+    lex_ranks,
+)
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
@@ -51,20 +58,13 @@ class WitnessSequence:
         return (self.start, self.far1, self.far2, self.far3, self.far4)
 
 
-def _dist_matrix(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 def farthest_from(points, origin) -> int:
     """Index of the farthest point from origin; distance ties pick the lex-largest."""
     pts = as_points(points)
     if len(pts) == 0:
         raise GeometryError("farthest_from: empty point set")
     d = np.linalg.norm(pts - as_points(origin).reshape(-1), axis=1)
-    ties = np.flatnonzero(d >= d.max() - EPS_GEO)
-    ranks = lex_ranks(pts)
-    return int(ties[np.argmax(ranks[ties])])
+    return last_in_order(d, lex_ranks(pts))
 
 
 def witness_sequence(points) -> WitnessSequence:
@@ -87,9 +87,7 @@ def witness_sequence(points) -> WitnessSequence:
         return WitnessSequence(start, start, start, start, start, pts[start].copy(), 0.0)
 
     def far(q):
-        d = np.linalg.norm(pts - q, axis=1)
-        ties = np.flatnonzero(d >= d.max() - EPS_GEO)
-        return int(ties[np.argmax(ranks[ties])])
+        return last_in_order(np.linalg.norm(pts - q, axis=1), ranks)
 
     far1 = far(pts[start])
     far2 = far(pts[far1])
@@ -107,10 +105,15 @@ def diameter_approx_pointset(points) -> float:
     return witness_sequence(points).spread
 
 
-def _after_in_order(dist_vec, dist_ref, lex_after, eps=EPS_GEO):
-    """Mask of points strictly after the reference in a (distance, lex) order."""
-    tie = np.abs(dist_vec - dist_ref) <= eps
-    return ((dist_vec > dist_ref) & ~tie) | (tie & lex_after)
+def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
+    """Product of the entries strictly after each position, along the last axis.
+
+    Over absence probabilities in a sorted order, with 1 for points that do
+    not count, entry k is the probability that no counted point after
+    position k is present.
+    """
+    run = np.cumprod(w[..., ::-1], axis=-1)[..., ::-1]
+    return np.concatenate([run[..., 1:], np.ones(w.shape[:-1] + (1,))], axis=-1)
 
 
 def witness_prob(ds: StochasticDataset, witness) -> float:
@@ -139,18 +142,17 @@ def witness_prob(ds: StochasticDataset, witness) -> float:
     if p1 == p2:
         return 0.0
     ranks = lex_ranks(pts)
-    lt_of = lambda i: ranks[i] < ranks  # noqa: E731 - lex-after masks
     d_to = lambda i: np.linalg.norm(pts - pts[i], axis=1)  # noqa: E731
     d1 = d_to(p1)
     d2 = d_to(p2)
-    excl = lt_of(p1)
-    excl |= _after_in_order(d1, d1[p2], lt_of(p2))
-    excl |= _after_in_order(d2, d2[p3], lt_of(p3))
+    excl = ranks > ranks[p1]
+    excl |= after_in_order(d1, d1[p2], ranks, ranks[p2])
+    excl |= after_in_order(d2, d2[p3], ranks, ranks[p3])
     probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * d2[p3] / d1[p2])
     dpr = np.linalg.norm(pts - probe, axis=1)
-    excl |= _after_in_order(dpr, dpr[p4], lt_of(p4))
+    excl |= after_in_order(dpr, dpr[p4], ranks, ranks[p4])
     d4 = d_to(p4)
-    excl |= _after_in_order(d4, d4[p5], lt_of(p5))
+    excl |= after_in_order(d4, d4[p5], ranks, ranks[p5])
     if excl[list(idx)].any():
         return 0.0
     prob = float(np.prod(omp[excl]))
@@ -162,7 +164,7 @@ def witness_prob(ds: StochasticDataset, witness) -> float:
 def _expected_diameter_witness_naive(ds: StochasticDataset) -> float:
     """Sum witness_prob * spread over every five-index tuple.  O(n^6) test oracle."""
     n = len(ds)
-    d = _dist_matrix(ds.points)
+    d = distance_matrix(ds.points)
     total = 0.0
     for idx in product(range(n), repeat=5):
         if idx[0] == idx[1]:
@@ -192,9 +194,8 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
         return 0.0
     pts, pi = ds.points, ds.probs
     omp = 1.0 - pi
-    dmat = _dist_matrix(pts)
+    dmat = distance_matrix(pts)
     ranks = lex_ranks(pts)
-    lt = ranks[:, None] < ranks[None, :]  # lt[i, j]: i lex-before j
     perm = np.empty((n, n), dtype=np.intp)
     pos = np.empty((n, n), dtype=np.intp)
     ar = np.arange(n)
@@ -205,26 +206,25 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp_sorted = omp[perm]
     pi_sorted = pi[perm]
     self_pos = pos[ar, ar]
-    ones_col = np.ones((n, 1))
     total = 0.0
     for p1 in range(n):
-        c1 = lt[p1]
+        c1 = ranks > ranks[p1]
         for p2 in range(n):
             if p2 == p1:
                 continue
-            e12 = c1 | _after_in_order(dmat[p1], dmat[p1, p2], lt[p2])
+            e12 = c1 | after_in_order(dmat[p1], dmat[p1, p2], ranks, ranks[p2])
             if e12[p1] or e12[p2]:
                 continue
-            for p3 in range(n):
-                e3 = e12 | _after_in_order(dmat[p2], dmat[p2, p3], lt[p3])
-                if e3[p1] or e3[p2] or e3[p3]:
-                    continue
+            # row p3: e12 plus the points after p3 in the order from p2
+            e3s = e12 | after_in_order(dmat[p2], dmat[p2, :, None], ranks, ranks[:, None])
+            ok3 = ~(e3s[:, p1] | e3s[:, p2] | e3s[ar, ar])
+            for p3 in np.flatnonzero(ok3):
+                e3 = e3s[p3]
                 span_a = dmat[p2, p3]
                 probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])
                 dpr = np.linalg.norm(pts - probe, axis=1)
-                tie4 = np.abs(dpr[:, None] - dpr[None, :]) <= EPS_GEO
-                cond4 = ((dpr[None, :] > dpr[:, None]) & ~tie4) | (tie4 & lt)
-                excl = e3[None, :] | cond4  # row = p4 choice
+                # row = p4 choice, column = the point it may exclude
+                excl = e3[None, :] | after_in_order(dpr, dpr[:, None], ranks, ranks[:, None])
                 valid = ~(excl[:, p1] | excl[:, p2] | excl[:, p3] | e3)
                 if not valid.any():
                     continue
@@ -234,9 +234,7 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
                 excl_sorted = np.take_along_axis(excl, perm, axis=1)
                 cand = ~excl_sorted
                 cand[ar, self_pos] = False  # p4 itself is never the fifth point
-                w = np.where(cand, omp_sorted, 1.0)
-                run = np.cumprod(w[:, ::-1], axis=1)[:, ::-1]
-                suffix = np.concatenate([run[:, 1:], ones_col], axis=1)
+                suffix = _exclusive_suffix_product(np.where(cand, omp_sorted, 1.0))
                 cutoff = np.maximum(np.maximum(pos[:, p1], pos[:, p2]), pos[:, p3])
                 ok = cand & (ar[None, :] >= cutoff[:, None])
                 pic = np.where(ok, pi_sorted, 0.0)
@@ -262,7 +260,7 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     omp = 1.0 - pi
     if n == 1:
         return 0.0
-    dmat = _dist_matrix(pts)
+    dmat = distance_matrix(pts)
     ranks = lex_ranks(pts)
     ar = np.arange(n)
     pre = np.concatenate([[1.0], np.cumprod(omp)])  # pre[i] = P[no point below index i]
@@ -271,9 +269,7 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
         order = np.lexsort((ranks, dmat[i]))
         pos = np.empty(n, dtype=np.intp)
         pos[order] = ar
-        w = np.where(order > i, omp[order], 1.0)
-        run = np.cumprod(w[::-1])[::-1]
-        suffix = np.concatenate([run[1:], [1.0]])
+        suffix = _exclusive_suffix_product(np.where(order > i, omp[order], 1.0))
         pr = pi[i] * pre[i] * pi * suffix[pos]
         pr[: i + 1] = 0.0  # the anchor is the smallest present index
         total += float(np.dot(pr, dmat[i]))
@@ -383,7 +379,7 @@ def hardness_instance(n_vertices: int, edges) -> HardnessInstance:
     nonedge = math.sqrt(m)
     edge_dist = math.sqrt((m - 1) + apex_pair_sq)
 
-    dmat = _dist_matrix(coords)
+    dmat = distance_matrix(coords)
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         adj[u, v] = adj[v, u] = True

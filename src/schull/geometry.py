@@ -1,8 +1,9 @@
 """Deterministic geometric primitives.
 
 Everything downstream (estimators, enumeration oracles, the sweep) is built
-on the helpers in this module: the lexicographic point order used to break
-ties, distance-to-flat computations, orthogonal-complement projections, and
+on the helpers in this module: the (distance, lex) order, in which the
+lexicographic point order breaks distance ties, distance tables,
+distance-to-flat computations, orthogonal-complement projections, and
 small exact convex hull / width routines for dimensions 2 and 3.
 
 Ties and degeneracy are decided with a single absolute tolerance
@@ -42,24 +43,6 @@ def as_point(p) -> np.ndarray:
     return q
 
 
-def lex_less(a, b) -> bool:
-    """Strict lexicographic order on coordinate vectors.
-
-    Compares coordinates exactly (no tolerance): the order only has to be a
-    strict total order on distinct points, and any consistent rule works as
-    a tie-breaker.
-    """
-    av, bv = as_point(a), as_point(b)
-    if av.shape != bv.shape:
-        raise GeometryError("lex_less: dimension mismatch")
-    for x, y in zip(av, bv):
-        if x < y:
-            return True
-        if x > y:
-            return False
-    return False
-
-
 def lex_ranks(points) -> np.ndarray:
     """Rank of each point in lexicographic order (0 = smallest)."""
     pts = as_points(points)
@@ -72,21 +55,27 @@ def lex_ranks(points) -> np.ndarray:
     return ranks
 
 
-def lex_argmax(points) -> int:
-    pts = as_points(points)
-    if len(pts) == 0:
-        raise GeometryError("lex_argmax of empty set")
-    return int(np.argmax(lex_ranks(pts)))
+def after_in_order(dist, ref, ranks, ref_rank):
+    """Mask of points strictly after the reference in the (distance, lex) order.
+
+    A point is after the reference when it is farther by more than EPS_GEO,
+    or tied within EPS_GEO and lex-larger.  The rule is elementwise, so a
+    column of references against a row of points gives the whole matrix.
+    """
+    tie = np.abs(dist - ref) <= EPS_GEO
+    return ((dist > ref) & ~tie) | (tie & (ranks > ref_rank))
 
 
-def prec_anchor(a, c, anchor) -> bool:
-    """Closer-to-anchor order: a before c, distance ties broken by lex order."""
-    av, cv, x = as_point(a), as_point(c), as_point(anchor)
-    da = float(np.linalg.norm(av - x))
-    dc = float(np.linalg.norm(cv - x))
-    if abs(da - dc) <= EPS_GEO:
-        return lex_less(av, cv)
-    return da < dc
+def last_in_order(dist, ranks) -> int:
+    """Index of the farthest point; distance ties go to the lex-largest."""
+    ties = np.flatnonzero(dist >= dist.max() - EPS_GEO)
+    return int(ties[np.argmax(ranks[ties])])
+
+
+def distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances of a (m, d) point array."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 @dataclass(frozen=True)
@@ -125,10 +114,6 @@ def flat_through(points) -> Flat:
     return Flat(base, np.ascontiguousarray(q.T))
 
 
-def dist_point_flat(p, flat: Flat) -> float:
-    return float(dists_to_flat(as_point(p).reshape(1, -1), flat)[0])
-
-
 def dists_to_flat(points, flat: Flat) -> np.ndarray:
     """Euclidean distances from each point to the flat (vectorized)."""
     pts = as_points(points)
@@ -136,15 +121,6 @@ def dists_to_flat(points, flat: Flat) -> np.ndarray:
     if flat.dim:
         w = w - (w @ flat.basis.T) @ flat.basis
     return np.linalg.norm(w, axis=1)
-
-
-def prec_flat(a, b, flat: Flat) -> bool:
-    """Closer-to-flat order: a before b, distance ties broken by lex order."""
-    da = dist_point_flat(a, flat)
-    db = dist_point_flat(b, flat)
-    if abs(da - db) <= EPS_GEO:
-        return lex_less(a, b)
-    return da < db
 
 
 def project_orthocomplement(points, spanning):
@@ -429,8 +405,7 @@ def farthest_pair(points) -> tuple[np.ndarray, np.ndarray, float]:
     m = len(pts)
     if m < 2:
         raise GeometryError("farthest_pair: need at least two points")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = distance_matrix(pts)
     best = float(dist.max())
     ii, jj = np.nonzero(dist >= best - EPS_GEO)
     cand = [(int(i), int(j)) for i, j in zip(ii, jj) if i < j]

@@ -25,9 +25,11 @@ from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
+    after_in_order,
     as_points,
     dists_to_flat,
     flat_through,
+    last_in_order,
     lex_ranks,
     pointset_width,
 )
@@ -65,11 +67,9 @@ def _greedy_vertex_list(pts, cand, ranks) -> list[int] | None:
     for _ in range(d):
         flat = flat_through(pts[chosen])
         dist = dists_to_flat(pts[cand], flat)
-        far = dist.max()
-        if far <= EPS_GEO:
+        if dist.max() <= EPS_GEO:
             return None
-        ties = cand[np.flatnonzero(dist >= far - EPS_GEO)]
-        chosen.append(int(ties[np.argmax(ranks[ties])]))
+        chosen.append(int(cand[last_in_order(dist, ranks[cand])]))
     return chosen
 
 
@@ -131,6 +131,25 @@ def simplex_width(points) -> float:
     return best
 
 
+def _prefix_flats(pts, order) -> list:
+    """Flats through order[:1], order[:2], ..., order[:len(order)]."""
+    return [flat_through(pts[list(order[: i + 1])]) for i in range(len(order))]
+
+
+def _beaten(pts, ranks, order, flats) -> np.ndarray:
+    """Mask of points that beat a step of the construction order.
+
+    A point beats the first vertex when it is lex-larger, and beats
+    order[i + 1] when it comes after it in the (distance to flats[i], lex)
+    order; only the steps that have a flat are checked.
+    """
+    excl = ranks > ranks[order[0]]
+    for flat, v in zip(flats, order[1:]):
+        dist = dists_to_flat(pts, flat)
+        excl |= after_in_order(dist, dist[v], ranks, ranks[v])
+    return excl
+
+
 def _simplex_prob_parts(ds: StochasticDataset, order: tuple[int, ...]):
     """(probability, exclusion mask) for a recovered construction order.
 
@@ -140,16 +159,7 @@ def _simplex_prob_parts(ds: StochasticDataset, order: tuple[int, ...]):
     lex-larger) from each prefix flat than the vertex chosen there.
     """
     pts, pi = ds.points, ds.probs
-    n = len(ds)
-    ranks = lex_ranks(pts)
-    d = pts.shape[1]
-    excl = ranks > ranks[order[0]]
-    for i in range(d):
-        flat = flat_through(pts[list(order[: i + 1])])
-        dist = dists_to_flat(pts, flat)
-        ref = dist[order[i + 1]]
-        tie = np.abs(dist - ref) <= EPS_GEO
-        excl |= ((dist > ref) & ~tie) | (tie & (ranks > ranks[order[i + 1]]))
+    excl = _beaten(pts, lex_ranks(pts), order, _prefix_flats(pts, order[:-1]))
     if excl[list(order)].any():
         return 0.0, excl
     prob = float(np.prod(pi[list(order)]) * np.prod((1.0 - pi)[excl]))
@@ -209,14 +219,42 @@ def _expected_width_witness_naive(ds: StochasticDataset) -> float:
     return total
 
 
+def _last_vertex_candidates(pts, ranks):
+    """Construction prefixes of d vertices with the points that can finish them.
+
+    Yields ``(prefix, excl, dlast, cands)``: the prefix, the mask of points
+    that beat one of its steps, distances to the prefix flat, and the last
+    vertices.  Those are the points off the prefix flat that beat no step:
+    such a point is at most a tie with each earlier vertex and then
+    lex-smaller, so its vertex set recovers to the prefix followed by it.
+    """
+    n, d = pts.shape
+    for prefix in permutations(range(n), d):
+        v0 = prefix[0]
+        if any(ranks[v] > ranks[v0] for v in prefix[1:]):
+            continue  # the first vertex is the lex-largest of the simplex
+        try:
+            flats = _prefix_flats(pts, prefix)
+        except GeometryError:
+            continue
+        excl = _beaten(pts, ranks, prefix, flats)
+        if excl[list(prefix)].any():
+            continue
+        dlast = dists_to_flat(pts, flats[-1])
+        cands = [
+            v for v in range(n) if v not in prefix and not excl[v] and dlast[v] > EPS_GEO
+        ]
+        if cands:
+            yield prefix, excl, dlast, cands
+
+
 def expected_width_witness(ds: StochasticDataset) -> float:
     """Expected witness-simplex width, grouped by the first d vertices.
 
     Fixing the construction order's first d vertices fixes the exclusion
-    conditions of every step but the last.  Candidates for the last vertex
-    are points whose vertex set recovers to the same order; sorting all
-    points by distance from the prefix flat turns each candidate's final
-    exclusion product into one suffix product.
+    conditions of every step but the last, so one product of absence
+    probabilities serves every last vertex; each last vertex adds the
+    points after it in the (distance to the prefix flat, lex) order.
 
     The result is within [expected width / (2 * 5^(d-1)), expected width],
     restricted to full-dimensional realizations.
@@ -231,43 +269,19 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     omp = 1.0 - pi
     ranks = lex_ranks(pts)
     total = 0.0
-    for prefix in permutations(range(n), d):
-        v0 = prefix[0]
-        if any(ranks[v] > ranks[v0] for v in prefix[1:]):
-            continue  # the first vertex is the lex-largest of the simplex
-        try:
-            flats = [flat_through(pts[list(prefix[: i + 1])]) for i in range(d)]
-        except GeometryError:
-            continue
-        excl = ranks > ranks[v0]
-        for i in range(d - 1):
-            dist = dists_to_flat(pts, flats[i])
-            ref = dist[prefix[i + 1]]
-            tie = np.abs(dist - ref) <= EPS_GEO
-            excl |= ((dist > ref) & ~tie) | (tie & (ranks > ranks[prefix[i + 1]]))
+    for prefix, excl, dlast, cands in _last_vertex_candidates(pts, ranks):
         plist = list(prefix)
-        if excl[plist].any():
-            continue
-        dlast = dists_to_flat(pts, flats[d - 1])
-        pset = set(prefix)
-        cands = []
-        for v in range(n):
-            if v in pset or excl[v] or dlast[v] <= EPS_GEO:
-                continue
-            if recover_vertex_list(pts, prefix + (v,)) == prefix + (v,):
-                cands.append(v)
-        if not cands:
-            continue
-        order = np.lexsort((ranks, dlast))
-        pos = np.empty(n, dtype=np.intp)
-        pos[order] = np.arange(n)
-        w = np.where(excl[order], 1.0, omp[order])
-        run = np.cumprod(w[::-1])[::-1]
-        suffix = np.concatenate([run[1:], [1.0]])
+        c = np.asarray(cands)
+        # Multiply far to near, one factor at a time, so the rounding is that
+        # of a suffix product over the sorted order.
+        far = np.lexsort((ranks, dlast))[::-1]
+        after = after_in_order(dlast[far], dlast[c, None], ranks[far], ranks[c, None])
+        w = np.where(after & ~excl[far], omp[far], 1.0)
+        none_after = np.cumprod(w, axis=1)[:, -1]
         left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
-        for v in cands:
+        for v, absent in zip(cands, none_after):
             wid = simplex_width(pts[plist + [v]])
-            total += left * pi[v] * suffix[pos[v]] * wid
+            total += left * pi[v] * absent * wid
     return float(total)
 
 

@@ -27,6 +27,13 @@ def random_dataset(rng, n, d, pmin=0.1, pmax=0.95) -> StochasticDataset:
     )
 
 
+def grid_dataset(rng, n, d, side=3, pmin=0.1, pmax=0.95) -> StochasticDataset:
+    """Distinct points of the integer grid {0..side-1}^d: many exact distance ties."""
+    cells = rng.choice(side**d, size=n, replace=False)
+    pts = np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
+    return StochasticDataset(pts, rng.uniform(pmin, pmax, size=n))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)

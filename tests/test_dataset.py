@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,16 @@ def test_parse_reports_point_index():
     )
     with pytest.raises(DatasetError, match="1"):
         parse_dataset(bad)
+
+
+def test_readme_dataset_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Dataset format", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    ds = parse_dataset(block)
+    assert ds.dim == 2
+    assert ds.points.tolist() == [[0.0, 0.0], [1.0, 0.25]]
+    assert ds.probs.tolist() == [0.9, 0.5]
 
 
 def test_enumeration_matches_realization_prob(rng):

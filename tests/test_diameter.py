@@ -30,7 +30,7 @@ from schull.diameter import (
     regular_simplex,
 )
 
-from conftest import random_dataset, random_points
+from conftest import grid_dataset, random_dataset, random_points
 
 
 def test_factor_value():
@@ -105,8 +105,10 @@ def test_witness_probs_partition_unity(rng):
 
 
 def test_grouped_equals_naive(rng):
-    for n, d in [(4, 2), (5, 2), (6, 2), (5, 3), (4, 5)]:
-        ds = random_dataset(rng, n, d)
+    cases = [random_dataset(rng, n, d) for n, d in [(4, 2), (5, 2), (6, 2), (5, 3), (4, 5)]]
+    # integer grids: exact distance ties decide picks by lex order
+    cases += [grid_dataset(rng, n, d) for n, d in [(5, 2), (6, 2), (6, 3)]]
+    for ds in cases:
         g = expected_diameter_witness(ds)
         nv = _expected_diameter_witness_naive(ds)
         assert g == pytest.approx(nv, abs=1e-12)

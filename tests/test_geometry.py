@@ -14,46 +14,34 @@ from schull import (
 from schull.geometry import (
     EPS_GEO,
     affine_rank,
-    dist_point_flat,
     dists_to_flat,
     flat_through,
-    lex_argmax,
-    lex_less,
     lex_ranks,
 )
 
 from conftest import random_points
 
 
-def test_lex_less_basic():
-    assert lex_less([0.0, 1.0], [1.0, 0.0])
-    assert lex_less([1.0, 0.0], [1.0, 1.0])
-    assert not lex_less([1.0, 1.0], [1.0, 1.0])
-    assert not lex_less([2.0, 0.0], [1.0, 9.0])
-
-
 def test_lex_ranks_match_pairwise_order(rng):
     pts = random_points(rng, 20, 3)
+    # shared leading coordinates exercise the later keys
+    pts[5:10, 0] = pts[0, 0]
+    pts[7:9, 1] = pts[0, 1]
     ranks = lex_ranks(pts)
     for i in range(20):
         for j in range(20):
             if i != j:
-                assert (ranks[i] < ranks[j]) == lex_less(pts[i], pts[j])
-
-
-def test_lex_argmax():
-    pts = np.array([[0.0, 5.0], [1.0, 0.0], [1.0, 2.0]])
-    assert lex_argmax(pts) == 2
+                assert (ranks[i] < ranks[j]) == (tuple(pts[i]) < tuple(pts[j]))
 
 
 def test_flat_distances():
     line = flat_through([[0.0, 0.0], [1.0, 0.0]])
-    assert dist_point_flat([0.5, 3.0], line) == pytest.approx(3.0)
+    assert dists_to_flat([[0.5, 3.0]], line) == pytest.approx([3.0])
     plane = flat_through([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert dist_point_flat([9.0, -4.0, 2.5], plane) == pytest.approx(2.5)
+    assert dists_to_flat([[9.0, -4.0, 2.5]], plane) == pytest.approx([2.5])
     point = flat_through([[1.0, 1.0]])
     assert point.dim == 0
-    assert dist_point_flat([4.0, 5.0], point) == pytest.approx(5.0)
+    assert dists_to_flat([[4.0, 5.0], [1.0, 1.0]], point) == pytest.approx([5.0, 0.0])
 
 
 def test_flat_through_rejects_dependent_points():

@@ -24,10 +24,10 @@ from schull import (
     witness_simplex_decomposition,
     witness_simplex_prob,
 )
-from schull.geometry import affine_rank
-from schull.width import _expected_width_witness_naive
+from schull.geometry import affine_rank, lex_ranks
+from schull.width import _expected_width_witness_naive, _last_vertex_candidates
 
-from conftest import random_dataset, random_points
+from conftest import grid_dataset, random_dataset, random_points
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -132,11 +132,28 @@ def test_decomposition_partition_consistency(rng):
 
 
 def test_grouped_equals_naive(rng):
-    for n, d in [(5, 2), (6, 2), (5, 3), (6, 3)]:
-        ds = random_dataset(rng, n, d)
+    cases = [random_dataset(rng, n, d) for n, d in [(5, 2), (6, 2), (5, 3), (6, 3)]]
+    # integer grids: exact distance ties decide steps by lex order
+    cases += [grid_dataset(rng, n, d) for n, d in [(6, 2), (7, 2), (6, 3), (7, 3)]]
+    for ds in cases:
         assert expected_width_witness(ds) == pytest.approx(
             _expected_width_witness_naive(ds), abs=1e-12
         )
+
+
+def test_mask_candidates_recover_to_their_order(rng):
+    # The grouped estimator accepts a last vertex from the exclusion mask
+    # alone; the greedy construction must pick the same order.
+    accepted = 0
+    for k in range(12):
+        n, d = (7, 2) if k % 2 == 0 else (6, 3)
+        ds = grid_dataset(rng, n, d) if k < 8 else random_dataset(rng, n, d)
+        pts = ds.points
+        for prefix, _excl, _dlast, cands in _last_vertex_candidates(pts, lex_ranks(pts)):
+            for v in cands:
+                assert recover_vertex_list(pts, prefix + (v,)) == prefix + (v,)
+                accepted += 1
+    assert accepted > 100
 
 
 def test_width_witness_equals_enumeration(rng):
