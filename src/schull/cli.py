@@ -7,8 +7,8 @@ cross-checks an estimator against the enumeration oracle on small inputs.
 
 Reports are byte-identical for identical inputs and seeds; wall-clock
 timing goes to stderr (opt-in) so it never perturbs the report.  Exit
-codes: 0 success, 1 failed verification, 2 usage error, 3 invalid data or
-geometry, 4 unsupported capability.
+codes: 0 success, 1 failed verification, 2 usage error, 3 invalid data,
+geometry or an unreadable file, 4 unsupported capability.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .dataset import (
     dataset_to_json,
     load_dataset,
     oracle_expectation,
+    parse_dataset,
     rng_stream,
     save_dataset,
 )
@@ -39,7 +40,7 @@ from .diameter import (
     hardness_instance,
     parse_graph,
 )
-from .errors import CapabilityError, DatasetError, GeometryError, SchullError
+from .errors import CapabilityError, DatasetError, SchullError
 from .width import (
     FprasConfig,
     expected_width_fpras,
@@ -176,7 +177,7 @@ def _cmd_compute(args) -> int:
     t0 = time.perf_counter()
     with open(args.input, "rb") as fh:
         raw = fh.read()
-    ds = load_dataset(args.input)
+    ds = parse_dataset(raw)
     method = _resolve_method(args.stat, args.method)
     value, bounds, seed = _run_estimator(ds, args.stat, method, args)
     out = _report(args, ds, raw, args.stat, method, value, bounds, seed)
@@ -263,13 +264,7 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (DatasetError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SchullError as exc:
+    except (SchullError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterator
 
 import numpy as np
@@ -150,22 +150,6 @@ def _beaten(pts, ranks, order, flats) -> np.ndarray:
     return excl
 
 
-def _simplex_prob_parts(ds: StochasticDataset, order: tuple[int, ...]):
-    """(probability, exclusion mask) for a recovered construction order.
-
-    A realization's witness simplex is exactly this one iff all d+1
-    vertices are present and no present point beats any construction step:
-    nothing lex-larger than the first vertex, and nothing farther (ties
-    lex-larger) from each prefix flat than the vertex chosen there.
-    """
-    pts, pi = ds.points, ds.probs
-    excl = _beaten(pts, lex_ranks(pts), order, _prefix_flats(pts, order[:-1]))
-    if excl[list(order)].any():
-        return 0.0, excl
-    prob = float(np.prod(pi[list(order)]) * np.prod((1.0 - pi)[excl]))
-    return prob, excl
-
-
 def witness_simplex_prob(ds: StochasticDataset, simplex) -> float:
     """Probability that a realization's witness simplex is exactly this one."""
     verts = simplex.vertex_list if isinstance(simplex, WitnessSimplex) else tuple(simplex)
@@ -178,33 +162,80 @@ def witness_simplex_prob(ds: StochasticDataset, simplex) -> float:
     rec = recover_vertex_list(ds.points, verts)
     if rec is None or rec != tuple(int(v) for v in verts):
         return 0.0
-    prob, _ = _simplex_prob_parts(ds, rec)
-    return prob
+    # The simplex is the witness iff all d+1 vertices are present and no
+    # present point beats any construction step: nothing lex-larger than the
+    # first vertex, and nothing farther (ties lex-larger) from each prefix
+    # flat than the vertex chosen there.
+    pts, pi = ds.points, ds.probs
+    excl = _beaten(pts, lex_ranks(pts), rec, _prefix_flats(pts, rec[:-1]))
+    if excl[list(rec)].any():
+        return 0.0
+    return float(np.prod(pi[list(rec)]) * np.prod((1.0 - pi)[excl]))
 
 
 def witness_simplex_decomposition(
     ds: StochasticDataset,
 ) -> Iterator[tuple[tuple[int, ...], float, tuple[int, ...], tuple[int, ...]]]:
-    """All witness simplices with positive probability.
+    """All witness simplices with positive probability, grouped by prefix.
 
     Yields ``(vertex_list, prob, excluded, free)``: the construction order,
     the probability that it is the realized witness simplex, the indices
-    forced absent, and the unconstrained indices.  Probabilities sum to the
-    probability that a realization is full-dimensional.
+    forced absent, and the unconstrained indices.  The cells partition the
+    full-dimensional realizations, so the probabilities sum to the
+    probability that a realization is full-dimensional.  This is the one
+    enumeration of cells: the witness estimator sums prob * simplex width
+    over it and the sampling estimator samples each cell's free points.
+
+    Fixing the construction order's first d vertices fixes the exclusion
+    conditions of every step but the last, so one product of absence
+    probabilities serves every last vertex; each last vertex adds the
+    points after it in the (distance to the prefix flat, lex) order.  The
+    last vertices are the points off the prefix flat that beat no step:
+    such a point is at most a tie with each earlier vertex and then
+    lex-smaller, so its vertex set recovers to the prefix followed by it.
     """
-    n = len(ds)
-    d = ds.dim
-    for subset in combinations(range(n), d + 1):
-        rec = recover_vertex_list(ds.points, subset)
-        if rec is None:
+    pts, pi = ds.points, ds.probs
+    n, d = pts.shape
+    omp = 1.0 - pi
+    ranks = lex_ranks(pts)
+    for prefix in permutations(range(n), d):
+        v0 = prefix[0]
+        if any(ranks[v] > ranks[v0] for v in prefix[1:]):
+            continue  # the first vertex is the lex-largest of the simplex
+        try:
+            flats = _prefix_flats(pts, prefix)
+        except GeometryError:
             continue
-        prob, excl = _simplex_prob_parts(ds, rec)
-        if prob <= 0.0:
+        excl = _beaten(pts, ranks, prefix, flats)
+        plist = list(prefix)
+        if excl[plist].any():
             continue
-        in_sub = set(subset)
-        free = tuple(a for a in range(n) if a not in in_sub and not excl[a])
-        excluded = tuple(int(a) for a in np.flatnonzero(excl))
-        yield rec, prob, excluded, free
+        dlast = dists_to_flat(pts, flats[-1])
+        last = ~excl & (dlast > EPS_GEO)
+        last[plist] = False
+        c = np.flatnonzero(last)
+        if not c.size:
+            continue
+        after = after_in_order(dlast, dlast[c, None], ranks, ranks[c, None])
+        # Multiply far to near, one factor at a time, so the rounding is that
+        # of a suffix product over the sorted order.
+        far = np.lexsort((ranks, dlast))[::-1]
+        w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
+        none_after = np.cumprod(w, axis=1)[:, -1]
+        left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
+        probs = left * pi[c] * none_after
+        excluded = after | excl
+        free = ~excluded
+        free[:, plist] = False
+        free[np.arange(c.size), c] = False
+        for v, prob, ex, fr in zip(c.tolist(), probs.tolist(), excluded, free):
+            if prob > 0.0:
+                yield (
+                    prefix + (v,),
+                    prob,
+                    tuple(np.flatnonzero(ex).tolist()),
+                    tuple(np.flatnonzero(fr).tolist()),
+                )
 
 
 def _expected_width_witness_naive(ds: StochasticDataset) -> float:
@@ -219,69 +250,19 @@ def _expected_width_witness_naive(ds: StochasticDataset) -> float:
     return total
 
 
-def _last_vertex_candidates(pts, ranks):
-    """Construction prefixes of d vertices with the points that can finish them.
-
-    Yields ``(prefix, excl, dlast, cands)``: the prefix, the mask of points
-    that beat one of its steps, distances to the prefix flat, and the last
-    vertices.  Those are the points off the prefix flat that beat no step:
-    such a point is at most a tie with each earlier vertex and then
-    lex-smaller, so its vertex set recovers to the prefix followed by it.
-    """
-    n, d = pts.shape
-    for prefix in permutations(range(n), d):
-        v0 = prefix[0]
-        if any(ranks[v] > ranks[v0] for v in prefix[1:]):
-            continue  # the first vertex is the lex-largest of the simplex
-        try:
-            flats = _prefix_flats(pts, prefix)
-        except GeometryError:
-            continue
-        excl = _beaten(pts, ranks, prefix, flats)
-        if excl[list(prefix)].any():
-            continue
-        dlast = dists_to_flat(pts, flats[-1])
-        cands = [
-            v for v in range(n) if v not in prefix and not excl[v] and dlast[v] > EPS_GEO
-        ]
-        if cands:
-            yield prefix, excl, dlast, cands
-
-
 def expected_width_witness(ds: StochasticDataset) -> float:
-    """Expected witness-simplex width, grouped by the first d vertices.
+    """Expected witness-simplex width, summed over the decomposition's cells.
 
-    Fixing the construction order's first d vertices fixes the exclusion
-    conditions of every step but the last, so one product of absence
-    probabilities serves every last vertex; each last vertex adds the
-    points after it in the (distance to the prefix flat, lex) order.
-
-    The result is within [expected width / (2 * 5^(d-1)), expected width],
-    restricted to full-dimensional realizations.
+    Each cell of ``witness_simplex_decomposition`` adds its probability
+    times its simplex's width.  The result is within
+    [expected width / (2 * 5^(d-1)), expected width], restricted to
+    full-dimensional realizations.
     """
-    n = len(ds)
-    d = ds.dim
-    if d not in HULL_DIMS:
+    if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
-    if n < d + 1:
-        return 0.0
-    pts, pi = ds.points, ds.probs
-    omp = 1.0 - pi
-    ranks = lex_ranks(pts)
     total = 0.0
-    for prefix, excl, dlast, cands in _last_vertex_candidates(pts, ranks):
-        plist = list(prefix)
-        c = np.asarray(cands)
-        # Multiply far to near, one factor at a time, so the rounding is that
-        # of a suffix product over the sorted order.
-        far = np.lexsort((ranks, dlast))[::-1]
-        after = after_in_order(dlast[far], dlast[c, None], ranks[far], ranks[c, None])
-        w = np.where(after & ~excl[far], omp[far], 1.0)
-        none_after = np.cumprod(w, axis=1)[:, -1]
-        left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
-        for v, absent in zip(cands, none_after):
-            wid = simplex_width(pts[plist + [v]])
-            total += left * pi[v] * absent * wid
+    for verts, prob, _excluded, _free in witness_simplex_decomposition(ds):
+        total += prob * simplex_width(ds.points[list(verts)])
     return float(total)
 
 
@@ -323,7 +304,8 @@ class FprasConfig:
 def expected_width_fpras(ds: StochasticDataset, config: FprasConfig) -> float:
     """Estimate the expected hull width by stratified sampling.
 
-    The witness-simplex decomposition partitions the full-dimensional
+    The cells of ``witness_simplex_decomposition``, the same ones the
+    witness estimator sums over, partition the full-dimensional
     realizations; within each cell the width is sampled by drawing the
     unconstrained points independently, so every cell estimate lands in
     [simplex width, simplex width * 2 * 5^(d-1)] and concentrates.  With the

@@ -205,3 +205,11 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["compute", "--input", str(path), "--stat", "volume"])
     capsys.readouterr()
+    # an unreadable path is invalid input (3), never a failed verification (1)
+    for argv in (
+        ["compute", "--input", str(tmp_path), "--stat", "width"],
+        ["verify", "--input", str(tmp_path), "--stat", "width"],
+        ["gen", "random", "--n", "4", "--dim", "2", "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error:")

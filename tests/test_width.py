@@ -24,8 +24,8 @@ from schull import (
     witness_simplex_decomposition,
     witness_simplex_prob,
 )
-from schull.geometry import affine_rank, lex_ranks
-from schull.width import _expected_width_witness_naive, _last_vertex_candidates
+from schull.geometry import affine_rank
+from schull.width import _expected_width_witness_naive
 
 from conftest import grid_dataset, random_dataset, random_points
 
@@ -112,8 +112,10 @@ def test_witness_simplex_bracket_random_realizations(rng):
 
 
 def test_decomposition_mass_is_full_rank_probability(rng):
-    for n, d in [(7, 2), (6, 3)]:
-        ds = random_dataset(rng, n, d)
+    cases = [random_dataset(rng, n, d) for n, d in [(7, 2), (6, 3)]]
+    cases += [grid_dataset(rng, n, d) for n, d in [(7, 2), (6, 3)]]
+    for ds in cases:
+        d = ds.dim
         mass = sum(p for _, p, _, _ in witness_simplex_decomposition(ds))
         expect = 0.0
         for idx, pr in enumerate_realizations(ds):
@@ -123,12 +125,40 @@ def test_decomposition_mass_is_full_rank_probability(rng):
 
 
 def test_decomposition_partition_consistency(rng):
-    ds = random_dataset(rng, 6, 2)
-    for verts, prob, excluded, free in witness_simplex_decomposition(ds):
-        assert witness_simplex_prob(ds, verts) == pytest.approx(prob, abs=1e-12)
-        covered = set(verts) | set(excluded) | set(free)
-        assert covered == set(range(len(ds)))
-        assert not (set(verts) & set(excluded))
+    cases = [random_dataset(rng, 6, 2), grid_dataset(rng, 7, 2), grid_dataset(rng, 6, 3)]
+    for ds in cases:
+        for verts, prob, excluded, free in witness_simplex_decomposition(ds):
+            assert witness_simplex_prob(ds, verts) == pytest.approx(prob, abs=1e-12)
+            covered = set(verts) | set(excluded) | set(free)
+            assert covered == set(range(len(ds)))
+            assert not (set(verts) & set(excluded))
+
+
+def test_decomposition_partitions_realizations(rng):
+    # The sampling estimator conditions on a cell: every full-dimensional
+    # realization must lie in exactly one, the one of its witness simplex.
+    shapes = [(6, 2), (7, 2), (6, 3), (7, 3)]
+    cases = [random_dataset(rng, n, d) for n, d in shapes]
+    cases += [grid_dataset(rng, n, d) for n, d in shapes]
+    for ds in cases:
+        d = ds.dim
+        cells = list(witness_simplex_decomposition(ds))
+        full_rank = 0
+        for idx, _pr in enumerate_realizations(ds):
+            idx = list(idx)
+            sub = ds.points[idx]
+            if len(idx) <= d or affine_rank(sub)[0] < d:
+                continue
+            full_rank += 1
+            present = set(idx)
+            hits = [
+                verts
+                for verts, _p, excluded, _f in cells
+                if present.issuperset(verts) and present.isdisjoint(excluded)
+            ]
+            expect = tuple(idx[i] for i in witness_simplex(sub).vertex_list)
+            assert hits == [expect]
+        assert full_rank > 0
 
 
 def test_grouped_equals_naive(rng):
@@ -142,17 +172,15 @@ def test_grouped_equals_naive(rng):
 
 
 def test_mask_candidates_recover_to_their_order(rng):
-    # The grouped estimator accepts a last vertex from the exclusion mask
-    # alone; the greedy construction must pick the same order.
+    # The decomposition accepts a last vertex from the exclusion mask alone;
+    # the greedy construction must pick the same order.
     accepted = 0
     for k in range(12):
         n, d = (7, 2) if k % 2 == 0 else (6, 3)
         ds = grid_dataset(rng, n, d) if k < 8 else random_dataset(rng, n, d)
-        pts = ds.points
-        for prefix, _excl, _dlast, cands in _last_vertex_candidates(pts, lex_ranks(pts)):
-            for v in cands:
-                assert recover_vertex_list(pts, prefix + (v,)) == prefix + (v,)
-                accepted += 1
+        for verts, _prob, _excluded, _free in witness_simplex_decomposition(ds):
+            assert recover_vertex_list(ds.points, verts) == verts
+            accepted += 1
     assert accepted > 100
 
 
