@@ -228,7 +228,7 @@ def _cmd_gen(args) -> int:
         else:
             sys.stdout.write(dataset_to_json(ds))
         return EXIT_OK
-    with open(args.graph, "r", encoding="utf-8") as fh:
+    with open(args.graph, "rb") as fh:
         n, edges = parse_graph(fh.read())
     inst = hardness_instance(n, edges)
     save_dataset(inst.dataset, args.out)

@@ -45,8 +45,7 @@ class StochasticDataset:
                 f"probability of point {i} is {pr[i]!r}, must be in (0, 1]"
             )
         if not _allow_duplicates:
-            _, counts = np.unique(pts, axis=0, return_counts=True)
-            if (counts > 1).any():
+            if len(set(map(tuple, pts.tolist()))) < len(pts):
                 raise DatasetError("duplicate points in dataset")
         pts.setflags(write=False)
         pr.setflags(write=False)
@@ -67,16 +66,24 @@ class StochasticDataset:
         return f"StochasticDataset(n={len(self)}, dim={self.dim})"
 
 
+def decode_text(text: str | bytes) -> str:
+    """Text of an input file; bytes must be UTF-8."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"input is not UTF-8: {exc}") from exc
+
+
 def parse_dataset(text: str | bytes) -> StochasticDataset:
     """Parse the JSON interchange format.
 
     Expected shape: ``{"dim": d, "points": [{"coords": [...], "prob": p}, ...]}``.
     Errors carry enough context to locate the offending entry.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(decode_text(text))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -137,6 +144,8 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     Streams for different keys are statistically independent, so per-simplex
     sampling does not depend on enumeration order.
     """
+    if seed < 0:
+        raise DatasetError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
 
 

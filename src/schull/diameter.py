@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .dataset import StochasticDataset, oracle_expectation
+from .dataset import StochasticDataset, decode_text, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import (
     after_in_order,
@@ -394,9 +394,7 @@ def hardness_instance(n_vertices: int, edges) -> HardnessInstance:
 
 def parse_graph(text: str | bytes) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Parse 'n m' followed by m 1-based 'u v' edge lines; returns 0-based edges."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    lines = [ln for ln in (s.strip() for s in decode_text(text).splitlines()) if ln]
     if not lines:
         raise DatasetError("empty graph file")
     head = lines[0].split()

@@ -278,7 +278,10 @@ def fpras_gamma(d: int) -> float:
 
 
 def fpras_sample_count(n: int, epsilon: float, gamma: float) -> int:
-    return max(1, math.ceil(gamma * math.log(n) / (epsilon * epsilon)))
+    count = gamma * math.log(n) / (epsilon * epsilon)
+    if not math.isfinite(count):
+        raise DatasetError(f"sample count {count!r} is not finite; lower gamma")
+    return max(1, math.ceil(count))
 
 
 @dataclass(frozen=True)
@@ -297,8 +300,43 @@ class FprasConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise DatasetError("epsilon must be in (0, 1)")
-        if self.gamma_override is not None and self.gamma_override <= 0.0:
-            raise DatasetError("gamma_override must be positive")
+        if self.gamma_override is not None and not (
+            0.0 < self.gamma_override < math.inf
+        ):
+            raise DatasetError("gamma_override must be positive and finite")
+        if self.seed < 0:
+            raise DatasetError("seed must be non-negative")
+
+
+# Columns folded into one int64 row key; the sign bit stays clear.
+_KEY_BITS = 62
+
+
+def _count_rows(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a boolean matrix in lexicographic order, with counts.
+
+    Gives the rows, order and counts of a row-wise ``np.unique`` without
+    sorting whole rows.  Each row is folded into an int64 key, first column
+    most significant, so ascending keys are lexicographic rows.  Past
+    ``_KEY_BITS`` columns the row is folded one chunk at a time, and after
+    each further chunk the pair (rank so far, chunk key) is re-ranked
+    densely, which keeps the order.
+    """
+    m, k = present.shape
+    ids = np.zeros(m, dtype=np.int64)
+    for start in range(0, k, _KEY_BITS):
+        key = ids if start == 0 else np.zeros(m, dtype=np.int64)
+        for j in range(start, min(start + _KEY_BITS, k)):
+            key <<= 1
+            key |= present[:, j]
+        if start:
+            order = np.lexsort((key, ids))
+            a, b = ids[order], key[order]
+            step = np.zeros(m, dtype=np.int64)
+            step[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+            ids[order] = np.cumsum(step)
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    return present[first], counts
 
 
 def expected_width_fpras(ds: StochasticDataset, config: FprasConfig) -> float:
@@ -340,7 +378,7 @@ def expected_width_fpras(ds: StochasticDataset, config: FprasConfig) -> float:
             continue
         rng = rng_stream(config.seed, *base)
         present = rng.random((m, len(free))) < pi[list(free)]
-        rows, counts = np.unique(present, axis=0, return_counts=True)
+        rows, counts = _count_rows(present)
         free_arr = np.asarray(free, dtype=np.intp)
         acc = 0.0
         for row, cnt in zip(rows, counts):

@@ -213,3 +213,23 @@ def test_exit_codes(tmp_path, capsys):
     ):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error:")
+    # non-finite gamma or sample count, negative seeds, non-UTF-8 input:
+    # invalid input (3), never a traceback
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    graph = tmp_path / "latin.graph"
+    graph.write_bytes(b"2 1\n1 \xff\n")
+    fpras = ["compute", "--input", str(path), "--stat", "width", "--method", "fpras"]
+    for argv in (
+        fpras + ["--gamma", "nan"],
+        fpras + ["--gamma", "inf"],
+        fpras + ["--gamma", "1e308"],
+        fpras + ["--seed", "-1"],
+        ["gen", "random", "--n", "4", "--dim", "2", "--seed", "-1"],
+        ["compute", "--input", str(latin), "--stat", "width"],
+        ["gen", "hardness", "--graph", str(graph), "--out", str(tmp_path / "h.json")],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""

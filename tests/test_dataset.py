@@ -41,6 +41,8 @@ def test_dataset_validation_errors():
     with pytest.raises(DatasetError):
         make([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])  # duplicate point
     with pytest.raises(DatasetError):
+        make([[1.0, 0.0], [2.0, 1.0], [1.0, -0.0]], [0.5] * 3)  # -0.0 == 0.0
+    with pytest.raises(DatasetError):
         make([[0.0, 0.0], [1.0, 0.0]], [0.5])  # length mismatch
 
 
@@ -80,6 +82,11 @@ def test_parse_rejects_malformed():
     ):
         with pytest.raises(DatasetError):
             parse_dataset(breakage)
+
+
+def test_parse_rejects_non_utf8():
+    with pytest.raises(DatasetError, match="UTF-8"):
+        parse_dataset(b"\xff\xfe{}")
 
 
 def test_parse_reports_point_index():
@@ -148,6 +155,11 @@ def test_rng_stream_distinct_keys_differ():
     x = rng_stream(0, 1, 2).random(4)
     y = rng_stream(0, 1, 3).random(4)
     assert not np.allclose(x, y)
+
+
+def test_rng_stream_rejects_negative_seed():
+    with pytest.raises(DatasetError, match="seed"):
+        rng_stream(-1, 2)
 
 
 def test_oracle_two_point_diameter():

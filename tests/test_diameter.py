@@ -275,6 +275,8 @@ def test_parse_graph():
         parse_graph("3 1\n1 4\n")
     with pytest.raises(DatasetError):
         parse_graph("3 1\n1 x\n")
+    with pytest.raises(DatasetError, match="UTF-8"):
+        parse_graph(b"3 1\n1 \xff\n")
 
 
 @settings(max_examples=25, deadline=None)

@@ -25,7 +25,7 @@ from schull import (
     witness_simplex_prob,
 )
 from schull.geometry import affine_rank
-from schull.width import _expected_width_witness_naive
+from schull.width import _count_rows, _expected_width_witness_naive
 
 from conftest import grid_dataset, random_dataset, random_points
 
@@ -228,6 +228,30 @@ def test_fpras_config_validation():
         FprasConfig(epsilon=1.5)
     with pytest.raises(DatasetError):
         FprasConfig(epsilon=0.1, gamma_override=-1.0)
+    for gamma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DatasetError, match="finite"):
+            FprasConfig(epsilon=0.1, gamma_override=gamma)
+    with pytest.raises(DatasetError, match="seed"):
+        FprasConfig(epsilon=0.1, seed=-1)
+    # a finite gamma can still overflow the sample count
+    with pytest.raises(DatasetError, match="not finite"):
+        fpras_sample_count(12, 0.25, 1e308)
+    assert fpras_sample_count(12, 0.25, 1.0) == math.ceil(math.log(12) / 0.0625)
+
+
+@pytest.mark.parametrize("k", [1, 5, 62, 63, 70])
+@pytest.mark.parametrize("m", [1, 7951, 233510])
+def test_count_rows_matches_row_unique(k, m):
+    # Columns are nearly constant (p = 0.01 or 0.99) with a few fair ones, so
+    # rows repeat, and the rows that differ do so in every chunk of columns.
+    rng = np.random.default_rng(1000 * k + m)
+    probs = rng.choice([0.01, 0.5, 0.99], size=k, p=[0.45, 0.1, 0.45])
+    present = np.column_stack([rng.random(m) < p for p in probs])
+    rows, counts = _count_rows(present)
+    ref_rows, ref_counts = np.unique(present, axis=0, return_counts=True)
+    assert rows.dtype == ref_rows.dtype and counts.dtype == ref_counts.dtype
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(counts, ref_counts)
 
 
 def test_fpras_reproducible_and_seed_sensitive(rng):
