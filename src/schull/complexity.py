@@ -3,10 +3,12 @@
 Three layers: membership probabilities (is a fixed query point inside the
 hull of a random realization), face probabilities (is a fixed simplex
 spanned by dataset points a face of the hull), and the aggregate expected
-face count.  The aggregate splits into a facet term, summed by a rotating
-sweep around each (d-1)-subset of points, and a subface term summed from
-per-simplex face probabilities; in the plane the two terms are the whole
-story and give the expected complexity exactly.
+face count.  The aggregate splits into a facet term, summed over the
+hyperplanes through each (d-1)-subset of points, and a subface term summed
+from per-simplex face probabilities; in the plane the two terms are the
+whole story and give the expected complexity exactly.  Every layer takes
+its products of absence probabilities from one zero-safe half-plane
+kernel, ``_half_plane_empty``.
 
 Everything here assumes general position: distinct points, no d+1 of them
 on a common hyperplane, no query point coincident or collinear with data
@@ -42,78 +44,124 @@ def _zero_log_split(omp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return is_zero, np.where(is_zero, 0.0, np.log(np.where(is_zero, 1.0, omp)))
 
 
-def membership_prob_1d(ds: StochasticDataset, q) -> float:
-    """Probability that q lies in the hull (interval) of a 1-d realization.
+def _on_centre(fixed: tuple[int, ...], i: int) -> GeometryError:
+    """Error for dataset point i meeting the centre of a membership instance."""
+    if fixed:
+        return GeometryError(
+            f"dataset point {i} lies on the affine span of dataset points {list(fixed)}"
+        )
+    return GeometryError(f"query point coincides with dataset point {i}")
 
-    q is covered iff some present point sits on each side, so the
+
+def _half_plane_empty(vec, omp, ids, fixed=()) -> tuple[np.ndarray, np.ndarray]:
+    """Emptiness of the two open half-planes beside each line through the centre.
+
+    ``vec`` holds the m >= 1 vectors from the centre to the points and
+    ``omp`` their absence probabilities.  For each point a, returns the
+    probabilities that no point is present strictly left, and strictly
+    right, of the ray from the centre through a (a itself is on neither
+    side), in input order.  One angular sort plus zero-safe prefix sums,
+    O(m log m).
+
+    ``ids`` are the rows' dataset indices and ``fixed`` the dataset points
+    whose span the centre is (empty for a query point); they only name the
+    offending points when a point coincides with the centre or two points
+    are collinear with it, which raise GeometryError.
+    """
+    m = len(vec)
+    rad = np.linalg.norm(vec, axis=1)
+    near = int(np.argmin(rad))
+    if rad[near] <= EPS_GEO:
+        raise _on_centre(fixed, int(ids[near]))
+    theta = np.arctan2(vec[:, 1], vec[:, 0])
+    if m >= 2:
+        folded = np.mod(theta, math.pi)
+        fo = np.argsort(folded, kind="stable")
+        gaps = np.diff(folded[fo], append=folded[fo[0]] + math.pi)
+        g = int(np.argmin(gaps))
+        if gaps[g] <= ANG_EPS:
+            a, b = sorted((int(ids[fo[g]]), int(ids[fo[(g + 1) % m]])))
+            if fixed:
+                raise GeometryError(
+                    f"dataset points {sorted(fixed + (a, b))} lie on a common hyperplane"
+                )
+            raise GeometryError(
+                f"dataset points {a} and {b} are collinear with the query point"
+            )
+    order = np.argsort(theta, kind="stable")
+    ts = theta[order]
+    zero_s, log_s = _zero_log_split(omp[order])
+    cz = np.concatenate([[0], np.cumsum(np.tile(zero_s, 2))])
+    cl = np.concatenate([[0.0], np.cumsum(np.tile(log_s, 2))])
+    # Left of each ray: sorted positions in (t, hi).
+    hi = np.searchsorted(np.concatenate([ts, ts + 2.0 * math.pi]), ts + math.pi)
+    lo = np.arange(m) + 1
+    left_zero = cz[hi] - cz[lo]
+    left_log = cl[hi] - cl[lo]
+    right_zero = int(zero_s.sum()) - left_zero - zero_s
+    right_log = float(log_s.sum()) - left_log - log_s
+    left, right = np.empty(m), np.empty(m)
+    left[order] = np.where(left_zero == 0, np.exp(left_log), 0.0)
+    right[order] = np.where(right_zero == 0, np.exp(right_log), 0.0)
+    return left, right
+
+
+def _cover_1d(delta, pi, ids, fixed=()) -> float:
+    """Probability that 0 lies strictly inside the present offsets ``delta``.
+
+    0 is covered iff some present point sits on each side, so the
     complement is 'left side empty or right side empty'.
     """
+    near = int(np.argmin(np.abs(delta)))
+    if abs(delta[near]) <= EPS_GEO:
+        raise _on_centre(fixed, int(ids[near]))
+    omp = 1.0 - pi
+    p_hi = float(np.prod(omp[delta > 0.0]))
+    p_lo = float(np.prod(omp[delta < 0.0]))
+    return 1.0 - (p_hi + p_lo - p_hi * p_lo)
+
+
+def _cover_2d(vec, pi, ids, fixed=()) -> float:
+    """Probability that the origin lies in the hull of the present ``vec``.
+
+    A realization omits the origin exactly when it is empty or has a unique
+    extreme witness: a present point a with no present point strictly to
+    the right of the ray from the origin through a.
+    """
+    omp = 1.0 - pi
+    _, right = _half_plane_empty(vec, omp, ids, fixed)
+    outside = float(np.dot(pi, right)) + float(np.prod(omp))
+    return min(1.0, max(0.0, 1.0 - outside))
+
+
+def membership_prob_1d(ds: StochasticDataset, q) -> float:
+    """Probability that q lies in the hull (interval) of a 1-d realization."""
     if ds.dim != 1:
         raise CapabilityError("membership_prob_1d needs a 1-d dataset")
     qv = as_point(q)
     if qv.shape != (1,):
         raise DatasetError("query point must be 1-d")
-    delta = ds.points[:, 0] - qv[0]
-    if np.abs(delta).min() <= EPS_GEO:
-        raise GeometryError("query point coincides with a dataset point")
-    omp = 1.0 - ds.probs
-    p_hi = float(np.prod(omp[delta > 0.0]))
-    p_lo = float(np.prod(omp[delta < 0.0]))
-    return 1.0 - (p_hi + p_lo - p_hi * p_lo)
+    return _cover_1d(ds.points[:, 0] - qv[0], ds.probs, range(len(ds)))
 
 
 def membership_prob_2d(ds: StochasticDataset, q) -> float:
     """Probability that q lies in the hull of a planar realization.
 
     A realization omits q exactly when it is empty or has a unique extreme
-    witness: a present point a with no present point strictly to the left
+    witness: a present point a with no present point strictly to the right
     of the ray from q through a.  Summing the witness probabilities needs
     one angular sort plus prefix products, O(n log n).
 
-    Raises GeometryError when q coincides with a point or is collinear
-    with the origin directions of two points (equal or opposite angles),
-    since then 'strictly left' is ambiguous.
+    Raises GeometryError, naming the dataset points, when q coincides with
+    a point or is collinear with two points (equal or opposite directions),
+    since then 'strictly right' is ambiguous.
     """
     if ds.dim != 2:
         raise CapabilityError("membership_prob_2d needs a 2-d dataset")
     qv = as_point(q)
     if qv.shape != (2,):
         raise DatasetError("query point must be 2-d")
-    vec = ds.points - qv
-    rad = np.linalg.norm(vec, axis=1)
-    if rad.min() <= EPS_GEO:
-        raise GeometryError("query point coincides with a dataset point")
-    theta = np.arctan2(vec[:, 1], vec[:, 0])
-    n = len(ds)
-    if n >= 2:
-        folded = np.sort(np.mod(theta, math.pi))
-        gaps = np.diff(folded)
-        wrap = folded[0] + math.pi - folded[-1]
-        if min(gaps.min(initial=math.inf), wrap) <= ANG_EPS:
-            raise GeometryError(
-                "two dataset points are collinear with the query point"
-            )
-    order = np.argsort(theta, kind="stable")
-    ts = theta[order]
-    zero_s, log_s = _zero_log_split((1.0 - ds.probs)[order])
-    zeros2 = np.concatenate([zero_s, zero_s]).astype(np.intp)
-    logs2 = np.concatenate([log_s, log_s])
-    cz = np.concatenate([[0], np.cumsum(zeros2)])
-    cl = np.concatenate([[0.0], np.cumsum(logs2)])
-    total_zero = int(zero_s.sum())
-    total_log = float(log_s.sum())
-    # Arc strictly left of each ray: sorted positions in (pa, hi).
-    his = np.searchsorted(np.concatenate([ts, ts + 2.0 * math.pi]), ts + math.pi)
-    lo = np.arange(n) + 1
-    arc_zero = cz[his] - cz[lo]
-    arc_log = cl[his] - cl[lo]
-    self_zero = zero_s.astype(np.intp)
-    rem_zero = total_zero - arc_zero - self_zero
-    rem_log = total_log - arc_log - log_s
-    witness = np.where(rem_zero == 0, np.exp(rem_log), 0.0)
-    outside = float(np.dot(ds.probs[order], witness))
-    outside += math.exp(total_log) if total_zero == 0 else 0.0
-    return min(1.0, max(0.0, 1.0 - outside))
+    return _cover_2d(ds.points - qv, ds.probs, range(len(ds)))
 
 
 def face_prob(ds: StochasticDataset, face) -> float:
@@ -146,8 +194,10 @@ def face_prob(ds: StochasticDataset, face) -> float:
             images, q = pts[rest], pts[verts[0]]
         else:
             images, q = project_orthocomplement(pts[rest], pts[list(verts)])
-        sub = StochasticDataset(images, ds.probs[rest], _allow_duplicates=True)
-        mem = membership_prob_1d(sub, q) if d - k == 1 else membership_prob_2d(sub, q)
+        if d - k == 1:
+            mem = _cover_1d(images[:, 0] - q[0], ds.probs[rest], rest, verts)
+        else:
+            mem = _cover_2d(images - q, ds.probs[rest], rest, verts)
     return float(np.prod(ds.probs[list(verts)])) * (1.0 - mem)
 
 
@@ -166,53 +216,32 @@ class HyperplaneStat:
     p_neg: float
 
 
-class _SideProducts:
-    """Running product of absence probabilities per side, zero-safe."""
-
-    __slots__ = ("zeros", "logs")
-
-    def __init__(self):
-        self.zeros = [0, 0]
-        self.logs = [0.0, 0.0]
-
-    def add(self, cell: int, is_zero: bool, lg: float):
-        if is_zero:
-            self.zeros[cell] += 1
-        else:
-            self.logs[cell] += lg
-
-    def remove(self, cell: int, is_zero: bool, lg: float):
-        if is_zero:
-            self.zeros[cell] -= 1
-        else:
-            self.logs[cell] -= lg
-
-    def value(self, cell: int) -> float:
-        return 0.0 if self.zeros[cell] else math.exp(self.logs[cell])
-
-
 def hyperplane_statistics(
     ds: StochasticDataset, visitor: Callable[[HyperplaneStat], None]
 ) -> int:
     """Visit every hyperplane through d dataset points with its side stats.
 
-    For each (d-1)-subset the remaining hyperplane direction is one angle
-    in a 2-d orthogonal complement, so rotating that angle meets the other
-    points one at a time; a point changes sides exactly at its own event.
-    Each hyperplane is visited once, in the group of its d-1 smallest
-    indices, giving C(n, d) visits in O(n^(d-1) * n log n) total.
+    For each (d-1)-subset the hyperplanes through it are the lines through
+    the origin of a 2-d orthogonal complement, one per other point, and
+    one half-plane kernel call gives both sides of each.  Each hyperplane
+    is visited once, in the group of its d-1 smallest indices, giving
+    C(n, d) visits in O(n^(d-1) * n log n) total.
 
     Degenerate inputs (d+1 points on a hyperplane, d collinear/coincident
-    points) raise GeometryError.  Returns the number of visits.
+    points) raise GeometryError naming the points.  Returns the number of
+    visits.
     """
     n = len(ds)
     d = ds.dim
     if d not in HULL_DIMS:
         raise CapabilityError(f"hyperplane sweep supports dimensions {HULL_DIMS}")
     pts = ds.points
-    is_zero, logs = _zero_log_split(1.0 - ds.probs)
+    omp = 1.0 - ds.probs
     count = 0
     for fixed in combinations(range(n), d - 1):
+        others = [i for i in range(n) if i not in fixed]
+        if not others:
+            continue
         base = pts[fixed[0]]
         if d == 2:
             frame = np.eye(2)
@@ -220,73 +249,26 @@ def hyperplane_statistics(
             axis = pts[fixed[1]] - base
             nrm = np.linalg.norm(axis)
             if nrm <= EPS_GEO:
-                raise GeometryError("coincident fixed points in sweep")
+                raise GeometryError(f"dataset points {list(fixed)} coincide")
             _, _, vt = np.linalg.svd((axis / nrm).reshape(1, 3))
             frame = vt[1:]
-        # Rotate the frame so a fixed ambient reference direction maps to
-        # angle zero; keys below are then true rotation angles.
-        ref = None
-        for c in reversed(range(d)):
-            cand = frame[:, c]
-            if np.linalg.norm(cand) > EPS_GEO:
-                ref = cand
-                break
-        zeta = math.atan2(ref[1], ref[0])
-        rot = np.array(
-            [[math.cos(zeta), math.sin(zeta)], [-math.sin(zeta), math.cos(zeta)]]
-        )
-        frame = rot @ frame
-        others = [i for i in range(n) if i not in fixed]
-        if not others:
-            continue
         w = (pts[others] - base) @ frame.T
-        rad = np.linalg.norm(w, axis=1)
-        if rad.min() <= EPS_GEO:
-            raise GeometryError(
-                "a dataset point lies on the sweep's rotation flat"
-            )
-        keys = np.mod(np.arctan2(w[:, 1], w[:, 0]), math.pi)
-        order = np.argsort(keys, kind="stable")
-        ks = keys[order]
-        if len(ks) >= 2:
-            wrap = ks[0] + math.pi - ks[-1]
-            if min(np.diff(ks).min(initial=math.inf), wrap) <= ANG_EPS:
-                raise GeometryError("d+1 dataset points on a common hyperplane")
-        th0 = ks[0]
-        n0 = np.array([-math.sin(th0), math.cos(th0)])
-        u0 = np.array([math.cos(th0), math.sin(th0)])
-        dots = w @ n0
-        side = np.where(dots > 0.0, 1, -1)
-        first = order[0]
-        side[first] = 1 if float(w[first] @ u0) > 0.0 else -1
-        cells = _SideProducts()
-        for b_loc, s in enumerate(side):
-            orig = others[b_loc]
-            cells.add((s + 1) // 2, bool(is_zero[orig]), float(logs[orig]))
-        fixed_max = max(fixed) if fixed else -1
-        for t in range(len(order)):
-            b_loc = int(order[t])
-            orig = others[b_loc]
-            s = int(side[b_loc])
-            cells.remove((s + 1) // 2, bool(is_zero[orig]), float(logs[orig]))
-            if orig > fixed_max:
-                th = float(ks[t])
-                normal = -math.sin(th) * frame[0] + math.cos(th) * frame[1]
-                flip = False
-                for c in range(d):
-                    if abs(normal[c]) > EPS_GEO:
-                        flip = normal[c] < 0.0
-                        break
-                p_hi = cells.value(0 if flip else 1)
-                p_lo = cells.value(1 if flip else 0)
-                visitor(
-                    HyperplaneStat(
-                        tuple(sorted(fixed + (orig,))), float(p_hi), float(p_lo)
-                    )
+        left, right = _half_plane_empty(w, omp[others], others, fixed)
+        new = np.flatnonzero(np.array(others) > fixed[-1])
+        u = w[new] / np.linalg.norm(w[new], axis=1)[:, None]
+        # Unit normal with the left side positive, then made canonical.
+        normals = np.stack([-u[:, 1], u[:, 0]], axis=1) @ frame
+        lead = np.argmax(np.abs(normals) > EPS_GEO, axis=1)
+        flip = normals[np.arange(len(new)), lead] < 0.0
+        p_pos = np.where(flip, right[new], left[new])
+        p_neg = np.where(flip, left[new], right[new])
+        for t, b in enumerate(new):
+            visitor(
+                HyperplaneStat(
+                    tuple(sorted(fixed + (others[b],))), float(p_pos[t]), float(p_neg[t])
                 )
-                count += 1
-            side[b_loc] = -s
-            cells.add((-s + 1) // 2, bool(is_zero[orig]), float(logs[orig]))
+            )
+        count += len(new)
     return count
 
 

@@ -25,7 +25,7 @@ class StochasticDataset:
 
     __slots__ = ("points", "probs")
 
-    def __init__(self, points, probs, _allow_duplicates: bool = False):
+    def __init__(self, points, probs):
         pts = np.array(as_points(points), dtype=np.float64)
         pr = np.asarray(probs, dtype=np.float64).reshape(-1)
         if len(pts) != len(pr):
@@ -44,9 +44,8 @@ class StochasticDataset:
             raise DatasetError(
                 f"probability of point {i} is {pr[i]!r}, must be in (0, 1]"
             )
-        if not _allow_duplicates:
-            if len(set(map(tuple, pts.tolist()))) < len(pts):
-                raise DatasetError("duplicate points in dataset")
+        if len(set(map(tuple, pts.tolist()))) < len(pts):
+            raise DatasetError("duplicate points in dataset")
         pts.setflags(write=False)
         pr.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -184,13 +183,22 @@ def _mask_probs(ds: StochasticDataset) -> np.ndarray:
 
 
 def enumerate_realizations(ds: StochasticDataset) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Yield every realization as (index tuple, probability).  2^n of them."""
+    """Yield every realization as (index tuple, probability), one at a time.
+
+    Realization ``mask`` holds point i iff bit i of mask is set; 2^n of them,
+    the empty one first.
+    """
     _guard_enum(ds)
     n = len(ds)
     pm = _mask_probs(ds)
-    members = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-    for mask in range(1 << n):
-        yield members[mask], float(pm[mask])
+    # Tabulate the members of the low half of the bits once; each
+    # realization is then one exact-size tuple concatenation.
+    lo = n // 2
+    low = [tuple(i for i in range(lo) if m >> i & 1) for m in range(1 << lo)]
+    for h in range(1 << (n - lo)):
+        high = tuple(lo + i for i in range(n - lo) if h >> i & 1)
+        for members, prob in zip(low, pm[h << lo:(h + 1) << lo].tolist()):
+            yield members + high, prob
 
 
 ORACLE_STATISTICS = ("diameter", "width", "complexity")
@@ -210,28 +218,21 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
         raise CapabilityError(
             f"{statistic} oracle supports d in {HULL_DIMS}, got d={ds.dim}"
         )
-    n = len(ds)
-    pm = _mask_probs(ds)
     pts = ds.points
     total = 0.0
     if statistic == "diameter":
         dmat = distance_matrix(pts)
-        for mask in range(1 << n):
-            idx = [i for i in range(n) if mask >> i & 1]
-            if len(idx) < 2:
-                continue
-            total += pm[mask] * dmat[np.ix_(idx, idx)].max()
-        return float(total)
-    if statistic == "width":
-        for mask in range(1 << n):
-            idx = [i for i in range(n) if mask >> i & 1]
-            if len(idx) < ds.dim + 1:
-                continue
-            total += pm[mask] * pointset_width(pts[idx])
-        return float(total)
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        total += pm[mask] * sum(convex_hull(pts[idx]).face_counts)
+        for idx, pr in enumerate_realizations(ds):
+            if len(idx) >= 2:
+                total += pr * dmat[np.ix_(idx, idx)].max()
+    elif statistic == "width":
+        for idx, pr in enumerate_realizations(ds):
+            if len(idx) >= ds.dim + 1:
+                total += pr * pointset_width(pts[list(idx)])
+    else:
+        for idx, pr in enumerate_realizations(ds):
+            if idx:
+                total += pr * sum(convex_hull(pts[list(idx)]).face_counts)
     return float(total)
 
 
@@ -240,12 +241,10 @@ def oracle_face_expectations(ds: StochasticDataset) -> np.ndarray:
     _guard_enum(ds)
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"face oracle supports d in {HULL_DIMS}, got d={ds.dim}")
-    n = len(ds)
-    pm = _mask_probs(ds)
     out = np.zeros(ds.dim)
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        out += pm[mask] * np.array(convex_hull(ds.points[idx]).face_counts)
+    for idx, pr in enumerate_realizations(ds):
+        if idx:
+            out += pr * np.array(convex_hull(ds.points[list(idx)]).face_counts)
     return out
 
 

@@ -56,11 +56,13 @@ def test_membership_2d_examples():
 
 def test_membership_2d_collinear_query_rejected():
     pts = [[1.0, 1.0], [-2.0, -2.0], [3.0, 0.0]]
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="points 0 and 1 are collinear"):
         membership_prob_2d(StochasticDataset(pts, [0.5] * 3), [0.0, 0.0])
-    pts = [[1.0, 1.0], [2.0, 2.0], [3.0, 0.0]]
-    with pytest.raises(GeometryError):
+    pts = [[3.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    with pytest.raises(GeometryError, match="points 1 and 2 are collinear"):
         membership_prob_2d(StochasticDataset(pts, [0.5] * 3), [0.0, 0.0])
+    with pytest.raises(GeometryError, match="dataset point 0$"):
+        membership_prob_2d(StochasticDataset(pts, [0.5] * 3), [3.0, 0.0])
 
 
 def test_membership_1d_matches_enumeration(rng):
@@ -167,41 +169,72 @@ def _collect_stats(ds):
 @pytest.mark.parametrize("n,d", [(6, 2), (9, 2), (5, 3), (7, 3)])
 def test_sweep_matches_brute(rng, n, d):
     ds = random_dataset(rng, n, d)
-    count, seen = _collect_stats(ds)
-    assert count == math.comb(n, d)
-    assert len(seen) == count
-    for sub, (bp, bn) in brute_hyperplane_stats(ds).items():
-        gp, gn = seen[sub]
-        assert gp == pytest.approx(bp, abs=1e-12)
-        assert gn == pytest.approx(bn, abs=1e-12)
+    # moving point 1 along the first axis from point 0 gives hyperplanes
+    # whose canonical normal has a zero first coordinate
+    pts = ds.points.copy()
+    pts[1] = pts[0] + 0.7 * np.eye(d)[0]
+    for ds in (ds, StochasticDataset(pts, ds.probs)):
+        count, seen = _collect_stats(ds)
+        assert count == math.comb(n, d)
+        assert len(seen) == count
+        for sub, (bp, bn) in brute_hyperplane_stats(ds).items():
+            gp, gn = seen[sub]
+            assert gp == pytest.approx(bp, abs=1e-12)
+            assert gn == pytest.approx(bn, abs=1e-12)
 
 
 def test_sweep_with_certain_points(rng):
-    pts = random_points(rng, 7, 2)
-    probs = np.full(7, 0.5)
-    probs[2] = 1.0
-    probs[5] = 1.0
-    ds = StochasticDataset(pts, probs)
-    _, seen = _collect_stats(ds)
-    for sub, (bp, bn) in brute_hyperplane_stats(ds).items():
-        assert seen[sub] == pytest.approx((bp, bn), abs=1e-12)
+    # probability-1 points force the kernel's zero-count branch
+    for d in (2, 3):
+        pts = random_points(rng, 7, d)
+        probs = np.full(7, 0.5)
+        probs[2] = 1.0
+        probs[5] = 1.0
+        ds = StochasticDataset(pts, probs)
+        _, seen = _collect_stats(ds)
+        for sub, (bp, bn) in brute_hyperplane_stats(ds).items():
+            assert seen[sub] == pytest.approx((bp, bn), abs=1e-12)
 
 
 def test_sweep_degenerate_inputs():
     collinear = StochasticDataset(
         [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.5] * 4
     )
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"points \[0, 1, 2\] lie on a common"):
         hyperplane_statistics(collinear, lambda s: None)
     cube = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"points \[0, 1, 2, 3\] lie on a common"):
         hyperplane_statistics(StochasticDataset(cube, [0.5] * 8), lambda s: None)
     collinear3 = StochasticDataset(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.3, 1.0, 0.2]],
         [0.5] * 4,
     )
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"point 2 lies on the affine span of .*\[0, 1\]"):
         hyperplane_statistics(collinear3, lambda s: None)
+    # the same degeneracies reach face probabilities through the one kernel
+    with pytest.raises(GeometryError, match=r"points \[0, 1, 2\] lie on a common"):
+        face_prob(collinear, (0,))
+    with pytest.raises(GeometryError, match=r"point 3 lies on the affine span of .*\[0, 1, 2\]"):
+        face_prob(StochasticDataset(cube, [0.5] * 8), (0, 1, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_terms_invariant_under_rigid_motion_and_order(d):
+    # the sweep's 2-d frames and visit order depend on coordinates and
+    # indices; the expected face counts must not
+    rng = np.random.default_rng(20170424 + d)
+    for _ in range(6):
+        n = int(rng.integers(d + 2, 10))
+        ds = random_dataset(rng, n, d)
+        want = hull_complexity_terms(ds)
+        rot, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        perm = rng.permutation(n)
+        moved = StochasticDataset(
+            ds.points[perm] @ rot.T + rng.uniform(-5.0, 5.0, d), ds.probs[perm]
+        )
+        got = hull_complexity_terms(moved)
+        assert got.facet_term == pytest.approx(want.facet_term, abs=1e-9)
+        assert got.subface_term == pytest.approx(want.subface_term, abs=1e-9)
 
 
 def test_sweep_dimension_guard(rng):

@@ -114,12 +114,18 @@ def test_readme_dataset_example_parses():
 
 
 def test_enumeration_matches_realization_prob(rng):
-    ds = random_dataset(rng, 6, 2)
-    total = 0.0
-    for mask, pr in enumerate_realizations(ds):
-        assert pr == pytest.approx(realization_prob(ds, mask), abs=1e-15)
-        total += pr
-    assert total == pytest.approx(1.0, abs=1e-12)
+    for n in (6, 1, 5):
+        ds = random_dataset(rng, n, 2)
+        total = 0.0
+        walk = list(enumerate_realizations(ds))
+        # realization k holds point i iff bit i of k is set
+        assert [idx for idx, _ in walk] == [
+            tuple(i for i in range(n) if k >> i & 1) for k in range(1 << n)
+        ]
+        for idx, pr in walk:
+            assert pr == pytest.approx(realization_prob(ds, idx), abs=1e-15)
+            total += pr
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
