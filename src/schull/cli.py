@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
             f"verification enumerates realizations; needs n <= {MAX_ENUM_POINTS}"
         )
     value, bounds, _ = _run_estimator(ds, args.stat, method, args)
-    truth = oracle_expectation(ds, args.stat)
+    truth = value if method == "oracle" else oracle_expectation(ds, args.stat)
     if bounds is None:
         # Sampling estimator: no deterministic bracket; report the gap only.
         rel = abs(value - truth) / truth if truth else abs(value)

@@ -4,6 +4,14 @@ A dataset is a list of distinct points in R^d, each present in a random
 realization independently with its own probability in (0, 1].  This module
 owns the JSON interchange format, realization sampling, and the exponential
 enumeration oracle that every estimator is tested against.
+
+The oracle sums over all 2^n realizations (bit i of a mask = point i).
+Diameter (any d), width (d = 2, 3) and the planar face counts are computed
+for every mask as arrays, in blocks of 2^14 masks, from the coordinates
+alone: a subset recursion for the diameter, the least extent over
+candidate directions for the width, and exact orientation signs for the
+planar hull.  The 3-d face counts still walk the realizations and build
+each hull with ``convex_hull``.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import CapabilityError, DatasetError
-from .geometry import HULL_DIMS, as_points, convex_hull, distance_matrix, pointset_width
+from .geometry import HULL_DIMS, as_points, convex_hull, distance_matrix
 
 # Enumeration walks all 2^n realizations; past this the oracle is hopeless.
 MAX_ENUM_POINTS = 22
@@ -174,12 +182,23 @@ def _guard_enum(ds: StochasticDataset) -> None:
         )
 
 
-def _mask_probs(ds: StochasticDataset) -> np.ndarray:
-    """P[mask] = probability of the realization encoded by mask (bit i = point i)."""
-    p = np.array([1.0])
-    for i in range(len(ds)):
-        p = np.concatenate([p * (1.0 - ds.probs[i]), p * ds.probs[i]])
-    return p
+def _mask_blocks(ds: StochasticDataset, lo: int) -> Iterator[np.ndarray]:
+    """Realization probabilities, one block per setting of mask bits lo..n-1.
+
+    Block h holds masks h * 2^lo ... (h+1) * 2^lo - 1 (bit i = point i) in
+    ascending order.  Every probability is the product of the per-point
+    factors taken in point order, so all block sizes give the same bits.
+    """
+    n = len(ds)
+    pi = ds.probs
+    low = np.array([1.0])
+    for i in range(lo):
+        low = np.concatenate([low * (1.0 - pi[i]), low * pi[i]])
+    for h in range(1 << (n - lo)):
+        p = low
+        for i in range(lo, n):
+            p = p * (pi[i] if h >> (i - lo) & 1 else 1.0 - pi[i])
+        yield p
 
 
 def enumerate_realizations(ds: StochasticDataset) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -190,18 +209,166 @@ def enumerate_realizations(ds: StochasticDataset) -> Iterator[tuple[tuple[int, .
     """
     _guard_enum(ds)
     n = len(ds)
-    pm = _mask_probs(ds)
     # Tabulate the members of the low half of the bits once; each
     # realization is then one exact-size tuple concatenation.
     lo = n // 2
     low = [tuple(i for i in range(lo) if m >> i & 1) for m in range(1 << lo)]
-    for h in range(1 << (n - lo)):
+    for h, probs in enumerate(_mask_blocks(ds, lo)):
         high = tuple(lo + i for i in range(n - lo) if h >> i & 1)
-        for members, prob in zip(low, pm[h << lo:(h + 1) << lo].tolist()):
+        for members, prob in zip(low, probs.tolist()):
             yield members + high, prob
 
 
 ORACLE_STATISTICS = ("diameter", "width", "complexity")
+
+# The mask oracle evaluates a statistic on all 2^n realizations as arrays,
+# one block of 2^_BLOCK_BITS masks (one setting of the high bits) at a time;
+# no work array holds more than 2^_BLOCK_BITS values.
+_BLOCK_BITS = 14
+
+
+def _high_members(h: int, lo: int, n: int) -> np.ndarray:
+    """Points of the high bits lo..n-1 that block h holds."""
+    return lo + np.flatnonzero(h >> np.arange(n - lo) & 1)
+
+
+def _bit_counts(k: int) -> np.ndarray:
+    """Number of set bits of every k-bit mask."""
+    counts = np.zeros(1 << k, dtype=np.int8)
+    for b in range(k):
+        counts[1 << b:2 << b] = counts[:1 << b] + 1
+    return counts
+
+
+def _max_table(values: np.ndarray, init) -> np.ndarray:
+    """t[..., m] = max(init, max of values[..., j] over the set bits j of m).
+
+    Built by doubling over the bits of m.
+    """
+    k = values.shape[-1]
+    t = np.empty(values.shape[:-1] + (1 << k,))
+    t[..., 0] = init
+    for j in range(k):
+        np.maximum(t[..., :1 << j], values[..., j:j + 1], out=t[..., 1 << j:2 << j])
+    return t
+
+
+def _ordered_sum(total: float, prob: np.ndarray, value: np.ndarray) -> float:
+    """total plus prob * value summed term by term in ascending mask order."""
+    terms = prob * value
+    terms[0] += total
+    return float(np.cumsum(terms, out=terms)[-1])
+
+
+def _diameter_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
+    """Diameter of every realization, by the subset recursion
+    diam(S) = max(diam(S - {top}), max over j in S of |top - j|)."""
+    n = len(pts)
+    dmat = distance_matrix(pts)
+    low = np.zeros(1 << lo)
+    for b in range(lo):
+        np.maximum(low[:1 << b], _max_table(dmat[b, :b], 0.0), out=low[1 << b:2 << b])
+    for h in range(1 << (n - lo)):
+        high = _high_members(h, lo, n)
+        # pairs inside the high part, and each low point's farthest high one
+        init = dmat[np.ix_(high, high)].max(initial=0.0)
+        cross = dmat[high, :lo].max(axis=0, initial=0.0)
+        yield np.maximum(low, _max_table(cross, init))
+
+
+def _unit_directions(pts: np.ndarray) -> Iterator[np.ndarray]:
+    """The width oracle's candidate directions, unit length, in chunks.
+
+    d = 2: the normals of the point pairs.  d = 3: the cross products of two
+    pair differences, which include every triangle normal.  They hold the
+    optimal direction of every subset: a facet normal, or the cross product
+    of two edge directions (Houle and Toussaint, 1988).
+    """
+    n, d = pts.shape
+    i, j = np.triu_indices(n, 1)
+    diff = pts[j] - pts[i]
+    if d == 2:
+        chunks = [np.stack([-diff[:, 1], diff[:, 0]], axis=1)]
+    else:
+        chunks = (np.cross(diff[k], diff[k + 1:]) for k in range(len(diff) - 1))
+    for u in chunks:
+        norm = np.linalg.norm(u, axis=1)
+        keep = norm > 0.0
+        yield u[keep] / norm[keep, None]
+
+
+def _width_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
+    """Width of every realization: the least extent over the candidate
+    directions.  Each extent is at least the width and the optimal direction
+    is a candidate, so the minimum is exact with no tolerance.  Realizations
+    of at most d points have width 0."""
+    n, d = pts.shape
+    rows = (1 << _BLOCK_BITS) >> lo
+    counts = _bit_counts(lo)
+    for h in range(1 << (n - lo)):
+        high = _high_members(h, lo, n)
+        width = np.full(1 << lo, np.inf)
+        for u in _unit_directions(pts):
+            proj = u @ pts.T
+            top = proj[:, high].max(axis=1, initial=-np.inf)
+            neg_bottom = (-proj[:, high]).max(axis=1, initial=-np.inf)
+            for r in range(0, len(u), rows):
+                # max - min over each realization, as max + max of the negation
+                ext = _max_table(proj[r:r + rows, :lo], top[r:r + rows])
+                ext += _max_table(-proj[r:r + rows, :lo], neg_bottom[r:r + rows])
+                np.minimum(width, ext.min(axis=0), out=width)
+        # no candidate direction at all means every point is on one line
+        width[(counts + len(high) <= d) | np.isinf(width)] = 0.0
+        yield width
+
+
+def _exact_coords(pts: np.ndarray) -> np.ndarray:
+    """The coordinates as Python integers on one power-of-two grid (exact)."""
+    ratios = [x.as_integer_ratio() for x in pts.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    return np.array([num * (den // d) for num, d in ratios], dtype=object).reshape(pts.shape)
+
+
+def _supporting_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bit masks (need, sel): directed pair k supports realization S iff
+    S & sel[k] == need[k].
+
+    A directed pair (i, j) supports S when both are in S and no member of S
+    lies strictly right of the line i->j, or on it outside the segment.
+    Sides are exact signs on the input coordinates, with no tolerance.
+    """
+    n = len(pts)
+    q = _exact_coords(pts)
+    i, j = np.triu_indices(n, 1)
+    e = q[j] - q[i]
+    rel = q[None, :, :] - q[i][:, None, :]
+    side = e[:, None, 0] * rel[..., 1] - e[:, None, 1] * rel[..., 0]
+    along = (rel * e[:, None, :]).sum(axis=2)
+    outside = (side == 0) & ((along < 0) | (along > (e * e).sum(axis=1)[:, None]))
+    bits = 1 << np.arange(n, dtype=np.int32)
+    # i->j is blocked by points right of it, j->i by points left of it
+    need = np.tile(bits[i] | bits[j], 2)
+    sel = need | (np.concatenate([(side < 0) | outside, (side > 0) | outside]) @ bits)
+    return need, sel
+
+
+def _planar_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Vertex and edge counts of the hull of every planar realization.
+
+    With h supporting pairs, a polygon (h >= 3) has h vertices and h edges,
+    a segment (h = 2) two vertices and one edge, a point one vertex.
+    """
+    n = len(pts)
+    need, sel = _supporting_pairs(pts)
+    rows = (1 << _BLOCK_BITS) >> lo
+    counts = _bit_counts(lo)
+    for h in range(1 << (n - lo)):
+        masks = np.arange(h << lo, (h + 1) << lo, dtype=np.int32)
+        hits = np.zeros(1 << lo, dtype=np.int16)
+        for r in range(0, len(need), rows):
+            hits += ((masks & sel[r:r + rows, None]) == need[r:r + rows, None]).sum(
+                axis=0, dtype=np.int16)
+        yield hits + (counts + bin(h).count("1") == 1), hits - (hits == 2)
 
 
 def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
@@ -209,7 +376,10 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
 
     Empty and singleton realizations contribute 0 to diameter and width; the
     complexity of an empty realization is 0 and degenerate hulls are counted
-    by the lower-dimensional face convention of ``convex_hull``.
+    by the lower-dimensional face convention of ``convex_hull``.  Diameter,
+    width and planar complexity are evaluated on all masks as arrays; the
+    3-d complexity walks the realizations and builds each hull.  Terms are
+    added one at a time in ascending mask order.
     """
     if statistic not in ORACLE_STATISTICS:
         raise CapabilityError(f"unknown statistic {statistic!r}")
@@ -219,21 +389,23 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
             f"{statistic} oracle supports d in {HULL_DIMS}, got d={ds.dim}"
         )
     pts = ds.points
-    total = 0.0
-    if statistic == "diameter":
-        dmat = distance_matrix(pts)
-        for idx, pr in enumerate_realizations(ds):
-            if len(idx) >= 2:
-                total += pr * dmat[np.ix_(idx, idx)].max()
-    elif statistic == "width":
-        for idx, pr in enumerate_realizations(ds):
-            if len(idx) >= ds.dim + 1:
-                total += pr * pointset_width(pts[list(idx)])
-    else:
+    if statistic == "complexity" and ds.dim == 3:
+        total = 0.0
         for idx, pr in enumerate_realizations(ds):
             if idx:
                 total += pr * sum(convex_hull(pts[list(idx)]).face_counts)
-    return float(total)
+        return float(total)
+    lo = min(len(ds), _BLOCK_BITS)
+    if statistic == "diameter":
+        values = _diameter_blocks(pts, lo)
+    elif statistic == "width":
+        values = _width_blocks(pts, lo)
+    else:
+        values = (v + e for v, e in _planar_face_blocks(pts, lo))
+    total = 0.0
+    for prob, value in zip(_mask_blocks(ds, lo), values):
+        total = _ordered_sum(total, prob, value)
+    return total
 
 
 def oracle_face_expectations(ds: StochasticDataset) -> np.ndarray:
@@ -241,6 +413,13 @@ def oracle_face_expectations(ds: StochasticDataset) -> np.ndarray:
     _guard_enum(ds)
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"face oracle supports d in {HULL_DIMS}, got d={ds.dim}")
+    if ds.dim == 2:
+        lo = min(len(ds), _BLOCK_BITS)
+        verts = edges = 0.0
+        for prob, (v, e) in zip(_mask_blocks(ds, lo), _planar_face_blocks(ds.points, lo)):
+            verts = _ordered_sum(verts, prob, v)
+            edges = _ordered_sum(edges, prob, e)
+        return np.array([verts, edges])
     out = np.zeros(ds.dim)
     for idx, pr in enumerate_realizations(ds):
         if idx:

@@ -12,9 +12,12 @@ import pytest
 
 from schull import (
     StochasticDataset,
+    convex_hull,
     enumerate_realizations,
+    pointset_width,
     project_orthocomplement,
 )
+from schull.geometry import distance_matrix
 
 
 def random_points(rng, n, d, scale=1.0):
@@ -37,6 +40,29 @@ def grid_dataset(rng, n, d, side=3, pmin=0.1, pmax=0.95) -> StochasticDataset:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+def oracle_by_realization(ds, statistic):
+    """Enumeration oracle walked one realization at a time.
+
+    ``statistic`` is "diameter", "width", "complexity" or "faces" (the
+    expected face count per dimension, as ``oracle_face_expectations``).
+    Each realization's value comes from a distance table, ``pointset_width``
+    or a ``convex_hull`` census, independently of the library's mask oracle.
+    """
+    pts = ds.points
+    dmat = distance_matrix(pts)
+    total = np.zeros(ds.dim) if statistic == "faces" else 0.0
+    for idx, pr in enumerate_realizations(ds):
+        if statistic == "diameter" and len(idx) >= 2:
+            total += pr * dmat[np.ix_(idx, idx)].max()
+        elif statistic == "width" and len(idx) >= ds.dim + 1:
+            total += pr * pointset_width(pts[list(idx)])
+        elif statistic == "complexity" and idx:
+            total += pr * sum(convex_hull(pts[list(idx)]).face_counts)
+        elif statistic == "faces" and idx:
+            total += pr * np.array(convex_hull(pts[list(idx)]).face_counts)
+    return total
 
 
 def in_hull_1d(q, xs):

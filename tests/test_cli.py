@@ -5,6 +5,7 @@ import math
 import pytest
 
 from schull import fpras_gamma, load_dataset, oracle_expectation
+from schull import cli
 from schull.cli import main
 
 
@@ -131,19 +132,34 @@ def test_compute_timing_goes_to_stderr(tmp_path, capsys):
     assert "elapsed_ms=" in timed.err and "elapsed_ms" not in timed.out
 
 
-def test_verify_passes(tmp_path, capsys):
+def test_verify_passes(tmp_path, capsys, monkeypatch):
     path = _gen(tmp_path)
     for stat, method in [
         ("diameter", "witness"),
         ("diameter", "two-approx"),
         ("width", "witness"),
         ("complexity", "exact"),
+        ("width", "oracle"),
     ]:
         rc = main(["verify", "--input", str(path), "--stat", stat,
                    "--method", method])
         out = capsys.readouterr().out
         assert rc == 0
         assert "contains_oracle=yes" in out
+    # the oracle method is its own truth: one enumeration, not two
+    calls = []
+
+    def counted(ds, stat):
+        calls.append(stat)
+        return oracle_expectation(ds, stat)
+
+    monkeypatch.setattr(cli, "oracle_expectation", counted)
+    rc = main(["verify", "--input", str(path), "--stat", "diameter", "--method", "oracle"])
+    out = capsys.readouterr().out
+    assert rc == 0 and calls == ["diameter"]
+    value = oracle_expectation(load_dataset(path), "diameter")
+    assert out == (f"stat=diameter method=oracle value={value!r} oracle={value!r}\n"
+                   f"bracket=[{value!r}, {value!r}] contains_oracle=yes\n")
 
 
 def test_verify_fpras_reports_gap(tmp_path, capsys):

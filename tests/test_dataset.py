@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schull import (
+    DIAMETER_WITNESS_FACTOR,
+    TWO_APPROX_FACTOR,
     CapabilityError,
     DatasetError,
     StochasticDataset,
     dataset_to_json,
     enumerate_realizations,
+    expected_complexity,
+    expected_diameter_two_approx,
+    expected_diameter_witness,
+    expected_width_witness,
     oracle_distribution,
     oracle_expectation,
     oracle_face_expectations,
@@ -20,9 +26,12 @@ from schull import (
     realization_prob,
     rng_stream,
     sample_realization,
+    width_simplex_factor,
 )
+import schull.dataset
+from schull.dataset import ORACLE_STATISTICS
 
-from conftest import random_dataset
+from conftest import grid_dataset, oracle_by_realization, random_dataset
 
 
 def make(points, probs):
@@ -211,3 +220,106 @@ def test_oracle_unknown_statistic(rng):
     ds = random_dataset(rng, 4, 2)
     with pytest.raises(CapabilityError):
         oracle_expectation(ds, "perimeter")
+
+
+def _oracle_cases(rng):
+    """Random and integer-grid datasets, d = 2 and 3, with probability-1
+    points and realizations of affine rank below d."""
+    cases = []
+    for d in (2, 3):
+        for n in (1, 2, 3, 5, 7, 9):
+            cases.append(random_dataset(rng, n, d))
+            cases.append(grid_dataset(rng, n, d))
+        certain = random_dataset(rng, 6, d)
+        probs = certain.probs.copy()
+        probs[[0, 3]] = 1.0
+        cases.append(StochasticDataset(certain.points, probs))
+        # integer points exactly on a tilted line (d = 2) or plane (d = 3),
+        # plus two off it
+        cells = rng.choice(7 ** (d - 1), size=5, replace=False)
+        free = np.array(np.unravel_index(cells, (7,) * (d - 1)), dtype=float).T - 3.0
+        last = free @ (2.0, -3.0)[:d - 1] + 1.0
+        flat = np.column_stack([free, last])
+        off = rng.uniform(-1.0, 1.0, size=(2, d))
+        probs = rng.uniform(0.2, 0.9, size=7)
+        probs[1] = 1.0
+        cases.append(StochasticDataset(np.vstack([flat, off]), probs))
+        # every point on one line: in space no pair of differences spans a
+        # direction
+        line = np.outer(rng.permutation(6) - 2.0, (1.0, 2.0, 3.0)[:d])
+        cases.append(StochasticDataset(line, rng.uniform(0.2, 0.9, size=6)))
+    return cases
+
+
+def test_mask_oracle_matches_realization_walk(rng):
+    # Coordinates are unit-scale. The walk gives a rank-deficient realization
+    # width 0 by its rank test; the mask oracle gives it the rounding noise
+    # of its extents (6e-17 on an all-collinear set), hence the abs floor.
+    for ds in _oracle_cases(rng):
+        for stat in ORACLE_STATISTICS:
+            ref = oracle_by_realization(ds, stat)
+            assert oracle_expectation(ds, stat) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        ref = oracle_by_realization(ds, "faces")
+        assert oracle_face_expectations(ds) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def test_mask_oracle_blocks_do_not_change_bits(rng, monkeypatch):
+    # Block size changes no probability, no per-mask value and no summation
+    # order, so 16-mask blocks must reproduce the one-block results exactly.
+    # The 3-d complexity and faces walk the realizations, unblocked.
+    def values(ds):
+        if ds.dim == 3:
+            return [oracle_expectation(ds, s) for s in ("diameter", "width")]
+        return [oracle_expectation(ds, s) for s in ORACLE_STATISTICS] + list(
+            oracle_face_expectations(ds))
+
+    cases = _oracle_cases(rng)
+    full = [values(ds) for ds in cases]
+    monkeypatch.setattr(schull.dataset, "_BLOCK_BITS", 4)
+    assert [values(ds) for ds in cases] == full
+
+
+def test_oracle_scale_and_rigid_motion(rng):
+    """Diameter and width scale with the coordinates and the planar
+    complexity does not change, for scales 10^-8 .. 10^8; rotation,
+    translation and input order change none of the three.  The 3-d
+    complexity oracle still builds hulls with an absolute tolerance, so it
+    is left out of the scale loop."""
+    for d, n in ((2, 8), (3, 7)):
+        ds = random_dataset(rng, n, d)
+        base = {stat: oracle_expectation(ds, stat) for stat in ORACLE_STATISTICS}
+        for k in range(-8, 9):
+            scaled = StochasticDataset(ds.points * 10.0**k, ds.probs)
+            for stat in ("diameter", "width"):
+                assert oracle_expectation(scaled, stat) == pytest.approx(
+                    base[stat] * 10.0**k, rel=1e-9), (d, k, stat)
+            if d == 2:
+                assert oracle_expectation(scaled, "complexity") == pytest.approx(
+                    base["complexity"], rel=1e-9), (d, k)
+        rot, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        perm = rng.permutation(n)
+        moved = StochasticDataset(
+            ds.points[perm] @ rot.T + rng.uniform(-5.0, 5.0, size=d), ds.probs[perm])
+        for stat in ORACLE_STATISTICS:
+            assert oracle_expectation(moved, stat) == pytest.approx(base[stat], rel=1e-9)
+
+
+def test_estimators_meet_mask_oracle_past_n14():
+    rng = np.random.default_rng(20261018)
+    for d, n in ((2, 18), (3, 13)):
+        ds = random_dataset(rng, n, d)
+        diam = oracle_expectation(ds, "diameter")
+        width = oracle_expectation(ds, "width")
+        brackets = []
+        v = expected_diameter_witness(ds)
+        brackets.append((diam, v, v * DIAMETER_WITNESS_FACTOR))
+        v = expected_diameter_two_approx(ds)
+        brackets.append((diam, v, v * TWO_APPROX_FACTOR))
+        v = expected_width_witness(ds)
+        brackets.append((width, v, v / width_simplex_factor(d)))
+        for truth, lo, hi in brackets:
+            slack = 1e-9 * max(abs(lo), abs(hi), 1.0)
+            assert lo - slack <= truth <= hi + slack, (d, n, truth, lo, hi)
+        if d == 2:
+            assert expected_complexity(ds) == pytest.approx(
+                oracle_expectation(ds, "complexity"), abs=1e-9)
