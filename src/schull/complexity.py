@@ -2,12 +2,11 @@
 
 Three layers: membership probabilities (is a fixed query point inside the
 hull of a random realization), face probabilities (is a fixed simplex
-spanned by dataset points a face of the hull), and the aggregate expected
-face count.  The aggregate splits into a facet term, summed over the
-hyperplanes through each (d-1)-subset of points, and a subface term summed
-from per-simplex face probabilities; in the plane the two terms are the
-whole story and give the expected complexity exactly.  Every layer takes
-its products of absence probabilities from one zero-safe half-plane
+spanned by dataset points a face of the hull), and the expected face
+counts, exact for d = 2 and 3.  The counts need only the facet term,
+summed by one sweep over the hyperplanes through each (d-1)-subset of
+points; Euler's formula fixes the other face counts from it.  Every layer
+takes its products of absence probabilities from one zero-safe half-plane
 kernel, ``_half_plane_empty``.
 
 Everything here assumes general position: distinct points, no d+1 of them
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -216,20 +215,21 @@ class HyperplaneStat:
     p_neg: float
 
 
-def hyperplane_statistics(
-    ds: StochasticDataset, visitor: Callable[[HyperplaneStat], None]
-) -> int:
-    """Visit every hyperplane through d dataset points with its side stats.
+def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
+    """The hyperplanes through d dataset points, one group per (d-1)-subset.
 
-    For each (d-1)-subset the hyperplanes through it are the lines through
-    the origin of a 2-d orthogonal complement, one per other point, and
-    one half-plane kernel call gives both sides of each.  Each hyperplane
-    is visited once, in the group of its d-1 smallest indices, giving
-    C(n, d) visits in O(n^(d-1) * n log n) total.
+    For each (d-1)-subset ``fixed`` the hyperplanes through it are the lines
+    through the origin of a 2-d orthogonal complement, one per other point,
+    and one half-plane kernel call gives both sides of each.  Yields
+    (fixed, new, left, right): ``new`` holds the partners b > max(fixed),
+    so each hyperplane fixed + (b,) comes once, in the group of its d-1
+    smallest indices; ``left``/``right`` are the probabilities that no
+    point is present strictly on the positive/negative side of the normal
+    rot90(p_b - p_f0) (d = 2) or (p_f1 - p_f0) x (p_b - p_f0) (d = 3).
+    C(n, d) hyperplanes in O(n^(d-1) * n log n) total.
 
     Degenerate inputs (d+1 points on a hyperplane, d collinear/coincident
-    points) raise GeometryError naming the points.  Returns the number of
-    visits.
+    points) raise GeometryError naming the points.
     """
     n = len(ds)
     d = ds.dim
@@ -237,10 +237,9 @@ def hyperplane_statistics(
         raise CapabilityError(f"hyperplane sweep supports dimensions {HULL_DIMS}")
     pts = ds.points
     omp = 1.0 - ds.probs
-    count = 0
     for fixed in combinations(range(n), d - 1):
-        others = [i for i in range(n) if i not in fixed]
-        if not others:
+        others = np.array([i for i in range(n) if i not in fixed], dtype=np.intp)
+        if not len(others):
             continue
         base = pts[fixed[0]]
         if d == 2:
@@ -250,79 +249,79 @@ def hyperplane_statistics(
             nrm = np.linalg.norm(axis)
             if nrm <= EPS_GEO:
                 raise GeometryError(f"dataset points {list(fixed)} coincide")
-            _, _, vt = np.linalg.svd((axis / nrm).reshape(1, 3))
-            frame = vt[1:]
+            # A right-handed frame (f0, f1, axis) puts the kernel's left
+            # side on the positive side of axis x (p_b - base).
+            f0 = np.linalg.svd((axis / nrm).reshape(1, 3))[2][1]
+            frame = np.stack([f0, np.cross(axis / nrm, f0)])
         w = (pts[others] - base) @ frame.T
         left, right = _half_plane_empty(w, omp[others], others, fixed)
-        new = np.flatnonzero(np.array(others) > fixed[-1])
-        u = w[new] / np.linalg.norm(w[new], axis=1)[:, None]
-        # Unit normal with the left side positive, then made canonical.
-        normals = np.stack([-u[:, 1], u[:, 0]], axis=1) @ frame
+        new = others > fixed[-1]
+        yield fixed, others[new], left[new], right[new]
+
+
+def hyperplane_statistics(
+    ds: StochasticDataset, visitor: Callable[[HyperplaneStat], None]
+) -> int:
+    """Visit every hyperplane through d dataset points once, with its side
+    stats from ``_sweep_groups``; degenerate inputs raise GeometryError
+    naming the points.  Returns the number of visits, C(n, d)."""
+    pts = ds.points
+    count = 0
+    for fixed, new, left, right in _sweep_groups(ds):
+        v = pts[new] - pts[fixed[0]]
+        if ds.dim == 2:
+            normals = np.stack([-v[:, 1], v[:, 0]], axis=1)
+        else:
+            normals = np.cross(pts[fixed[1]] - pts[fixed[0]], v)
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
         lead = np.argmax(np.abs(normals) > EPS_GEO, axis=1)
         flip = normals[np.arange(len(new)), lead] < 0.0
-        p_pos = np.where(flip, right[new], left[new])
-        p_neg = np.where(flip, left[new], right[new])
-        for t, b in enumerate(new):
-            visitor(
-                HyperplaneStat(
-                    tuple(sorted(fixed + (others[b],))), float(p_pos[t]), float(p_neg[t])
-                )
-            )
+        p_pos = np.where(flip, right, left)
+        p_neg = np.where(flip, left, right)
+        for b, pp, pn in zip(new.tolist(), p_pos.tolist(), p_neg.tolist()):
+            visitor(HyperplaneStat(fixed + (b,), pp, pn))
         count += len(new)
     return count
 
 
-@dataclass(frozen=True)
-class HullComplexityTerms:
-    """Expected face counts of the hull, split by how they are computed.
+def _size_probs(pi: np.ndarray, d: int) -> np.ndarray:
+    """P(|R| = k) for k = 0..d, then P(|R| > d), by an O(n d) DP over the
+    points whose last entry absorbs every larger realization size."""
+    dist = np.zeros(d + 2)
+    dist[0] = 1.0
+    for p in pi.tolist():
+        moved = dist[:-1] * p
+        dist[:-1] -= moved
+        dist[1:] += moved
+    return dist
 
-    ``facet_term`` is the expected number of (d-1)-faces (the hull itself
-    counts as its own facet in degenerate low-rank realizations), summed by
-    the hyperplane sweep.  ``subface_term`` is the expected number of
-    (d-2)-faces, summed from per-simplex face probabilities.  For d = 2
-    the two cover every face, so ``lower_terms`` is 0 and ``total`` is the
-    expected total face count; for d = 3 the vertex term has no closed
-    form here and both are None.
+
+def expected_face_counts(ds: StochasticDataset) -> np.ndarray:
+    """Expected number of k-dimensional hull faces for each k < d, exactly.
+
+    Laid out as ``oracle_face_expectations``: [V, E] for d = 2 and
+    [V, E, F] for d = 3.  The facet count F is summed by the hyperplane
+    sweep: a hyperplane's d points are present and one open side is empty
+    (a realization of exactly d points counts its hull as one facet).
+    Under general position every realization of more than d points has a
+    simplicial hull, so Euler's formula fixes the other counts from F: the
+    polygon has V = E = F, the polytope E = 3F/2 and V = F/2 + 2.  The
+    realizations of at most d points are added from P(|R| = k).
     """
-
-    facet_term: float
-    subface_term: float
-    lower_terms: float | None
-    total: float | None
-
-
-def hull_complexity_terms(ds: StochasticDataset) -> HullComplexityTerms:
-    """Facet and subface terms of the expected hull complexity."""
-    d = ds.dim
-    if d not in HULL_DIMS:
-        raise CapabilityError(f"complexity terms support dimensions {HULL_DIMS}")
     pi = ds.probs
-    acc = 0.0
-
-    def visit(stat: HyperplaneStat):
-        nonlocal acc
-        both = stat.p_pos + stat.p_neg - stat.p_pos * stat.p_neg
-        acc += float(np.prod(pi[list(stat.on_plane)])) * both
-
-    hyperplane_statistics(ds, visit)
-    facet_term = acc
-    n = len(ds)
-    if d == 2:
-        subface = sum(face_prob(ds, (i,)) for i in range(n))
-        return HullComplexityTerms(facet_term, subface, 0.0, facet_term + subface)
-    subface = sum(face_prob(ds, pair) for pair in combinations(range(n), 2))
-    return HullComplexityTerms(facet_term, subface, None, None)
+    facets = 0.0
+    for fixed, new, left, right in _sweep_groups(ds):
+        both = left + right - left * right
+        facets += float(np.prod(pi[list(fixed)])) * float(np.dot(pi[new], both))
+    p = _size_probs(pi, ds.dim)
+    if ds.dim == 2:
+        return np.array([facets + p[1] + p[2], facets])
+    edges = 1.5 * (facets + p[3]) + p[2]
+    verts = 0.5 * (facets - p[3]) + 2.0 * p[4] + 3.0 * p[3] + 2.0 * p[2] + p[1]
+    return np.array([verts, edges, facets])
 
 
 def expected_complexity(ds: StochasticDataset) -> float:
-    """Expected total face count of a planar stochastic hull, exactly.
-
-    Only d = 2 has the closed-form split into facet and vertex terms; for
-    d = 3 use the enumeration oracle on small datasets instead.
-    """
-    if ds.dim != 2:
-        raise CapabilityError(
-            "exact expected complexity is planar-only; use the enumeration "
-            "oracle for d = 3"
-        )
-    return hull_complexity_terms(ds).total
+    """Expected total face count of the stochastic hull, exactly, for d = 2
+    and 3: the sum of ``expected_face_counts``."""
+    return float(expected_face_counts(ds).sum())

@@ -23,6 +23,7 @@ from schull import (
     expected_complexity,
     expected_diameter_two_approx,
     expected_diameter_witness,
+    expected_face_counts,
     expected_width_fpras,
     expected_width_witness,
     face_prob,
@@ -30,7 +31,6 @@ from schull import (
     fpras_gamma,
     hardness_identity_check,
     hardness_instance,
-    hull_complexity_terms,
     hyperplane_statistics,
     load_dataset,
     membership_prob_1d,
@@ -313,14 +313,17 @@ def test_criterion_12_complexity_matches_oracle():
     for _ in range(8):
         n = int(rng.integers(5, 12))
         ds = random_dataset(rng, n, 3)
-        terms = hull_complexity_terms(ds)
+        counts = expected_face_counts(ds)
         ofe = oracle_face_expectations(ds)
-        assert abs(terms.facet_term - ofe[2]) <= TOL, (n, terms.facet_term, ofe)
-        assert abs(terms.subface_term - ofe[1]) <= TOL, (n, terms.subface_term, ofe)
-        worst3 = max(worst3, abs(terms.facet_term - ofe[2]),
-                     abs(terms.subface_term - ofe[1]))
+        total = expected_complexity(ds)
+        oracle = oracle_expectation(ds, "complexity")
+        # the edge count again, from the face probabilities of every pair
+        subface = sum(face_prob(ds, pair) for pair in combinations(range(n), 2))
+        gaps = [*np.abs(counts - ofe), abs(total - oracle), abs(subface - ofe[1])]
+        assert max(gaps) <= TOL, (n, counts, ofe, total, oracle, subface)
+        worst3 = max(worst3, *gaps)
     _verdict(12, f"d=2 gap <= {worst2:.2e} over 30 datasets; "
-                 f"d=3 term gaps <= {worst3:.2e}")
+                 f"d=3 face count, total and subface gaps <= {worst3:.2e}")
 
 
 def test_criterion_13_cli_round_trip(tmp_path, capsys):

@@ -162,6 +162,14 @@ def test_verify_passes(tmp_path, capsys, monkeypatch):
                    f"bracket=[{value!r}, {value!r}] contains_oracle=yes\n")
 
 
+def test_verify_complexity_exact_3d(tmp_path, capsys):
+    path = _gen(tmp_path, n=7, dim=3)
+    rc = main(["verify", "--input", str(path), "--stat", "complexity",
+               "--method", "exact"])
+    assert rc == 0
+    assert "contains_oracle=yes" in capsys.readouterr().out
+
+
 def test_verify_fpras_reports_gap(tmp_path, capsys):
     path = _gen(tmp_path)
     rc = main(["verify", "--input", str(path), "--stat", "width", "--method",

@@ -10,8 +10,8 @@ from schull import (
     GeometryError,
     StochasticDataset,
     expected_complexity,
+    expected_face_counts,
     face_prob,
-    hull_complexity_terms,
     hyperplane_statistics,
     membership_prob_1d,
     membership_prob_2d,
@@ -216,6 +216,17 @@ def test_sweep_degenerate_inputs():
         face_prob(collinear, (0,))
     with pytest.raises(GeometryError, match=r"point 3 lies on the affine span of .*\[0, 1, 2\]"):
         face_prob(StochasticDataset(cube, [0.5] * 8), (0, 1, 2))
+    # and the expected face counts, which need general position for Euler
+    with pytest.raises(GeometryError, match=r"points \[0, 1, 2\] lie on a common"):
+        expected_complexity(collinear)
+    with pytest.raises(GeometryError, match=r"points \[0, 1, 2, 3\] lie on a common"):
+        expected_face_counts(StochasticDataset(cube, [0.5] * 8))
+
+
+def _subface_sum(ds):
+    """Expected number of (d-2)-faces, summed from per-simplex face
+    probabilities over the points (d = 2) or pairs (d = 3)."""
+    return sum(face_prob(ds, f) for f in combinations(range(len(ds)), ds.dim - 1))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -226,23 +237,25 @@ def test_terms_invariant_under_rigid_motion_and_order(d):
     for _ in range(6):
         n = int(rng.integers(d + 2, 10))
         ds = random_dataset(rng, n, d)
-        want = hull_complexity_terms(ds)
+        want = expected_face_counts(ds)
+        want_subface = _subface_sum(ds)
         rot, _ = np.linalg.qr(rng.normal(size=(d, d)))
         perm = rng.permutation(n)
         moved = StochasticDataset(
             ds.points[perm] @ rot.T + rng.uniform(-5.0, 5.0, d), ds.probs[perm]
         )
-        got = hull_complexity_terms(moved)
-        assert got.facet_term == pytest.approx(want.facet_term, abs=1e-9)
-        assert got.subface_term == pytest.approx(want.subface_term, abs=1e-9)
+        got = expected_face_counts(moved)
+        assert got.shape == want.shape == (d,)
+        assert got == pytest.approx(want, abs=1e-9)
+        assert _subface_sum(moved) == pytest.approx(want_subface, abs=1e-9)
 
 
 def test_sweep_dimension_guard(rng):
-    pts = rng.uniform(-1, 1, (6, 4))
+    ds = StochasticDataset(rng.uniform(-1, 1, (6, 4)), np.full(6, 0.5))
     with pytest.raises(CapabilityError):
-        hyperplane_statistics(
-            StochasticDataset(pts, np.full(6, 0.5)), lambda s: None
-        )
+        hyperplane_statistics(ds, lambda s: None)
+    with pytest.raises(CapabilityError):
+        expected_complexity(ds)
 
 
 # --- complexity decomposition ---
@@ -250,19 +263,14 @@ def test_sweep_dimension_guard(rng):
 
 def test_certain_triangle_terms():
     ds = StochasticDataset([[0.0, 0.0], [2.0, 0.0], [0.3, 1.7]], [1.0] * 3)
-    terms = hull_complexity_terms(ds)
-    assert terms.facet_term == pytest.approx(3.0)
-    assert terms.subface_term == pytest.approx(3.0)
-    assert terms.lower_terms == 0.0
+    assert expected_face_counts(ds) == pytest.approx([3.0, 3.0])
     assert expected_complexity(ds) == pytest.approx(6.0)
 
 
 def test_certain_segment_terms():
     # a hull that is a single segment counts 2 vertices and 1 edge
     ds = StochasticDataset([[0.0, 0.0], [1.0, 0.3]], [1.0, 1.0])
-    terms = hull_complexity_terms(ds)
-    assert terms.facet_term == pytest.approx(1.0)
-    assert terms.subface_term == pytest.approx(2.0)
+    assert expected_face_counts(ds) == pytest.approx([2.0, 1.0])
     assert expected_complexity(ds) == pytest.approx(
         oracle_expectation(ds, "complexity")
     )
@@ -270,11 +278,9 @@ def test_certain_segment_terms():
 
 def test_certain_tetrahedron_terms():
     pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.0]]
-    terms = hull_complexity_terms(StochasticDataset(pts, [1.0] * 4))
-    assert terms.facet_term == pytest.approx(4.0)
-    assert terms.subface_term == pytest.approx(6.0)
-    assert terms.lower_terms is None
-    assert terms.total is None
+    ds = StochasticDataset(pts, [1.0] * 4)
+    assert expected_face_counts(ds) == pytest.approx([4.0, 6.0, 4.0])
+    assert expected_complexity(ds) == pytest.approx(14.0)
 
 
 def test_expected_complexity_matches_oracle_2d(rng):
@@ -290,17 +296,28 @@ def test_terms_match_face_expectations(rng):
     for _ in range(4):
         ds = random_dataset(rng, int(rng.integers(3, 9)), 2)
         ofe = oracle_face_expectations(ds)
-        terms = hull_complexity_terms(ds)
-        assert terms.subface_term == pytest.approx(ofe[0], abs=1e-9)
-        assert terms.facet_term == pytest.approx(ofe[1], abs=1e-9)
+        assert expected_face_counts(ds) == pytest.approx(ofe, abs=1e-9)
+        assert _subface_sum(ds) == pytest.approx(ofe[0], abs=1e-9)
     for _ in range(3):
         ds = random_dataset(rng, int(rng.integers(4, 8)), 3)
         ofe = oracle_face_expectations(ds)
-        terms = hull_complexity_terms(ds)
-        assert terms.subface_term == pytest.approx(ofe[1], abs=1e-9)
-        assert terms.facet_term == pytest.approx(ofe[2], abs=1e-9)
+        assert expected_face_counts(ds) == pytest.approx(ofe, abs=1e-9)
+        assert _subface_sum(ds) == pytest.approx(ofe[1], abs=1e-9)
 
 
-def test_expected_complexity_3d_unsupported(rng):
-    with pytest.raises(CapabilityError):
-        expected_complexity(random_dataset(rng, 5, 3))
+def test_expected_face_counts_match_oracle_3d(rng):
+    # every size from a lone point up, with probability-1 points on every
+    # other dataset to reach the DP's and the kernel's zero branches
+    for n in range(1, 11):
+        ds = random_dataset(rng, n, 3)
+        if n % 2 == 0:
+            probs = ds.probs.copy()
+            probs[rng.integers(0, n, size=2)] = 1.0
+            ds = StochasticDataset(ds.points, probs)
+        got = expected_face_counts(ds)
+        want = oracle_face_expectations(ds)
+        assert got.shape == (3,)
+        assert got == pytest.approx(want, abs=1e-9), (n, got, want)
+        assert expected_complexity(ds) == pytest.approx(
+            oracle_expectation(ds, "complexity"), abs=1e-9
+        )
