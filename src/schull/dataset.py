@@ -8,10 +8,11 @@ enumeration oracle that every estimator is tested against.
 The oracle sums over all 2^n realizations (bit i of a mask = point i).
 Diameter (any d), width (d = 2, 3) and the planar face counts are computed
 for every mask as arrays, in blocks of 2^14 masks, from the coordinates
-alone: a subset recursion for the diameter, the least extent over
-candidate directions for the width, and exact orientation signs for the
-planar hull.  The 3-d face counts still walk the realizations and build
-each hull with ``convex_hull``.
+alone: a subset recursion for the diameter, the least extent over the
+candidate directions of the one width kernel (``geometry._least_extent``)
+for the width, and exact orientation signs for the planar hull.  The 3-d
+face counts still walk the realizations and build each hull with
+``convex_hull``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import CapabilityError, DatasetError
 from .geometry import HULL_DIMS, as_points, convex_hull, distance_matrix
+from .geometry import _candidate_directions
 
 # Enumeration walks all 2^n realizations; past this the oracle is hopeless.
 MAX_ENUM_POINTS = 22
@@ -276,39 +278,18 @@ def _diameter_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
         yield np.maximum(low, _max_table(cross, init))
 
 
-def _unit_directions(pts: np.ndarray) -> Iterator[np.ndarray]:
-    """The width oracle's candidate directions, unit length, in chunks.
-
-    d = 2: the normals of the point pairs.  d = 3: the cross products of two
-    pair differences, which include every triangle normal.  They hold the
-    optimal direction of every subset: a facet normal, or the cross product
-    of two edge directions (Houle and Toussaint, 1988).
-    """
-    n, d = pts.shape
-    i, j = np.triu_indices(n, 1)
-    diff = pts[j] - pts[i]
-    if d == 2:
-        chunks = [np.stack([-diff[:, 1], diff[:, 0]], axis=1)]
-    else:
-        chunks = (np.cross(diff[k], diff[k + 1:]) for k in range(len(diff) - 1))
-    for u in chunks:
-        norm = np.linalg.norm(u, axis=1)
-        keep = norm > 0.0
-        yield u[keep] / norm[keep, None]
-
-
 def _width_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
     """Width of every realization: the least extent over the candidate
-    directions.  Each extent is at least the width and the optimal direction
-    is a candidate, so the minimum is exact with no tolerance.  Realizations
-    of at most d points have width 0."""
+    directions of ``geometry._least_extent``, with the extents of all masks
+    taken from ``_max_table``.  Realizations of at most d points have
+    width 0."""
     n, d = pts.shape
     rows = (1 << _BLOCK_BITS) >> lo
     counts = _bit_counts(lo)
     for h in range(1 << (n - lo)):
         high = _high_members(h, lo, n)
         width = np.full(1 << lo, np.inf)
-        for u in _unit_directions(pts):
+        for u in _candidate_directions(pts):
             proj = u @ pts.T
             top = proj[:, high].max(axis=1, initial=-np.inf)
             neg_bottom = (-proj[:, high]).max(axis=1, initial=-np.inf)
@@ -316,7 +297,7 @@ def _width_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
                 # max - min over each realization, as max + max of the negation
                 ext = _max_table(proj[r:r + rows, :lo], top[r:r + rows])
                 ext += _max_table(-proj[r:r + rows, :lo], neg_bottom[r:r + rows])
-                np.minimum(width, ext.min(axis=0), out=width)
+                np.fmin(width, np.fmin.reduce(ext, axis=0), out=width)
         # no candidate direction at all means every point is on one line
         width[(counts + len(high) <= d) | np.isinf(width)] = 0.0
         yield width

@@ -3,16 +3,18 @@
 Everything downstream (estimators, enumeration oracles, the sweep) is built
 on the helpers in this module: the (distance, lex) order, in which the
 lexicographic point order breaks distance ties, distance tables,
-distance-to-flat computations, orthogonal-complement projections, and
-small exact convex hull / width routines for dimensions 2 and 3.
+distance-to-flat computations, orthogonal-complement projections, small
+exact convex hull routines for dimensions 2 and 3, and the width kernel.
 
 Ties and degeneracy are decided with a single absolute tolerance
 ``EPS_GEO``; inputs are expected to be desk-scale (coordinates up to ~1e3).
+The width kernel, ``_least_extent``, needs no tolerance at any scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -92,10 +94,6 @@ class Flat:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.base.shape[0]
 
 
 def flat_through(points) -> Flat:
@@ -220,10 +218,6 @@ def _hull2d_indices(pts: np.ndarray) -> list[int]:
 
 @dataclass
 class _Hull3D:
-    triangles: list[tuple[int, int, int]]
-    normals: np.ndarray  # (f, 3) unit outward normals
-    offsets: np.ndarray  # (f,)
-    comp_of: list[int]  # merged-facet id per triangle
     n_facets: int
     facet_normals: np.ndarray  # (F, 3)
     adjacency: list[tuple[int, int]]  # unordered merged-facet pairs sharing an edge
@@ -342,16 +336,8 @@ def _build_hull3d(pts: np.ndarray) -> _Hull3D:
     if v - e + f != 2:
         raise GeometryError(f"hull3d: Euler check failed (V={v}, E={e}, F={f})")
 
-    return _Hull3D(
-        triangles=triangles,
-        normals=normals,
-        offsets=offsets,
-        comp_of=comp_of,
-        n_facets=n_facets,
-        facet_normals=facet_normals,
-        adjacency=sorted(adjacency),
-        vertex_ids=vertex_ids,
-    )
+    return _Hull3D(n_facets=n_facets, facet_normals=facet_normals,
+                   adjacency=sorted(adjacency), vertex_ids=vertex_ids)
 
 
 def _full_rank_hull_census(coords: np.ndarray) -> tuple[list[int], list[int]]:
@@ -455,13 +441,14 @@ def _width_candidates_3d(pts: np.ndarray) -> np.ndarray:
     return np.array(dirs)
 
 
-def pointset_width(points, return_direction: bool = False):
-    """Minimum slab width of a point set in R^2 or R^3.
+def pointset_width(points) -> float:
+    """Minimum slab width of a point set in R^2 or R^3, from its hull.
 
     The optimal direction of a convex body is normal to a hull edge (d=2) or
     realized by a facet normal / a cross product of two hull edge directions
     (d=3), so minimizing the directional extent over those candidates is
-    exact.  Point sets of affine rank < d have width 0.
+    exact.  Point sets of affine rank < d have width 0.  The library uses
+    ``_least_extent``; this routine is its independent hull-based reference.
     """
     pts = as_points(points)
     m, d = pts.shape
@@ -469,18 +456,61 @@ def pointset_width(points, return_direction: bool = False):
         raise CapabilityError(f"pointset_width supports d in {HULL_DIMS}, got d={d}")
     if m == 0:
         raise GeometryError("pointset_width: empty point set")
-    rank, basis = affine_rank(pts)
-    if rank < d:
-        if not return_direction:
-            return 0.0
-        # Any unit normal to the affine span witnesses width 0.
-        u, _, _ = np.linalg.svd((pts - pts.mean(axis=0)).T, full_matrices=True)
-        return 0.0, u[:, d - 1]
+    if affine_rank(pts)[0] < d:
+        return 0.0
     dirs = _width_candidates_2d(pts) if d == 2 else _width_candidates_3d(pts)
     proj = pts @ dirs.T
-    extents = proj.max(axis=0) - proj.min(axis=0)
-    k = int(np.argmin(extents))
-    width = float(extents[k])
-    if return_direction:
-        return width, dirs[k]
+    return float((proj.max(axis=0) - proj.min(axis=0)).min())
+
+
+_EXTENT_CHUNK = 1 << 14  # most values per point set in a width-kernel array
+
+
+def _candidate_directions(pts: np.ndarray) -> Iterator[np.ndarray]:
+    """Candidate width directions of point sets, unit length, in chunks.
+
+    ``pts`` has shape (..., k, d) and each chunk (..., c, d), with c * k at
+    most ``_EXTENT_CHUNK``.  d = 2: the normals of the point pairs.  d = 3:
+    the cross products of two pair differences, which include every
+    triangle normal.  They hold the optimal direction of every subset: a
+    facet normal, or the cross product of two edge directions (Houle and
+    Toussaint, 1988).  The rows of parallel differences are NaN.
+    """
+    k, d = pts.shape[-2:]
+    i, j = np.triu_indices(k, 1)
+    diff = pts[..., j, :] - pts[..., i, :]
+    a, b = np.triu_indices(len(i), 1) if d == 3 else (np.arange(len(i)), None)
+    step = max(1, _EXTENT_CHUNK // k)
+    for s in range(0, len(a), step):
+        e = diff[..., a[s:s + step], :]
+        u = (np.stack([-e[..., 1], e[..., 0]], axis=-1) if d == 2
+             else np.cross(e, diff[..., b[s:s + step], :]))
+        norm = np.linalg.norm(u, axis=-1, keepdims=True)
+        yield np.divide(u, norm, out=np.full_like(u, np.nan), where=norm > 0.0)
+
+
+def _least_extent(pts: np.ndarray, present: np.ndarray | None = None) -> np.ndarray:
+    """Widths of point sets: the least extent over the candidate directions.
+
+    Each extent is at least the width and the optimal direction is a
+    candidate, so the minimum is exact, with no tolerance.  ``pts`` is a
+    batch of point sets (..., k, d) and the result has shape (...); with
+    ``present`` (rows, k), ``pts`` is one set (k, d) and row r gives the
+    width of its present points.  A set on one line in R^3 has no candidate
+    direction and width 0.
+    """
+    width = np.full(pts.shape[:-2] if present is None else len(present), np.nan)
+    for u in _candidate_directions(pts):
+        proj = u @ np.swapaxes(pts, -1, -2)  # (..., c, k)
+        if present is None:
+            np.fmin(width, np.fmin.reduce(np.ptp(proj, axis=-1), axis=-1), out=width)
+            continue
+        step = max(1, _EXTENT_CHUNK // proj.size)
+        for r in range(0, len(present), step):
+            sel = present[r:r + step, None, :]
+            top = np.where(sel, proj, -np.inf).max(axis=-1)
+            ext = top - np.where(sel, proj, np.inf).min(axis=-1)
+            part = width[r:r + step]
+            np.fmin(part, np.fmin.reduce(ext, axis=-1), out=part)
+    width[np.isnan(width)] = 0.0
     return width

@@ -9,6 +9,10 @@ width lower-bounds the realization's width and is within a factor of
 simplices brackets the expectation.  For an (eps)-accurate estimate the
 sampling estimator replaces each simplex's width by a Monte Carlo average of
 realization widths conditioned on that simplex being the witness.
+
+Every width here comes from one kernel, ``geometry._least_extent``: the
+witness estimator evaluates all simplices of a construction prefix in one
+call, and the sampling estimator all distinct sampled subsets of a cell.
 """
 
 from __future__ import annotations
@@ -20,18 +24,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import StochasticDataset, rng_stream
+from .dataset import StochasticDataset, _ordered_sum, rng_stream
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
+    _least_extent,
     after_in_order,
     as_points,
     dists_to_flat,
     flat_through,
     last_in_order,
     lex_ranks,
-    pointset_width,
 )
 
 
@@ -104,8 +108,8 @@ def recover_vertex_list(points, vertices) -> tuple[int, ...] | None:
 def simplex_width(points) -> float:
     """Width of a nondegenerate d-simplex, d in {2, 3}.
 
-    The minimizing slab is either parallel to a facet (width = the opposite
-    vertex's height) or, for d = 3, parallel to two opposite edges.
+    One call of the width kernel: the least extent over the simplex's
+    candidate directions.  A simplex of width at most EPS_GEO is degenerate.
     """
     pts = as_points(points)
     m, d = pts.shape
@@ -113,22 +117,10 @@ def simplex_width(points) -> float:
         raise CapabilityError(f"simplex_width supports dimensions {HULL_DIMS}")
     if m != d + 1:
         raise GeometryError(f"a {d}-simplex needs {d + 1} vertices, got {m}")
-    best = math.inf
-    for i in range(m):
-        rest = [j for j in range(m) if j != i]
-        h = dists_to_flat(pts[i].reshape(1, -1), flat_through(pts[rest]))[0]
-        if h <= EPS_GEO:
-            raise GeometryError("simplex_width: degenerate simplex")
-        best = min(best, float(h))
-    if d == 3:
-        for a, b in ((0, 1), (0, 2), (0, 3)):
-            c, e = [j for j in range(4) if j not in (a, b)]
-            nrm = np.cross(pts[b] - pts[a], pts[e] - pts[c])
-            ln = np.linalg.norm(nrm)
-            if ln <= EPS_GEO:
-                raise GeometryError("simplex_width: degenerate simplex")
-            best = min(best, float(abs(nrm @ (pts[c] - pts[a])) / ln))
-    return best
+    width = float(_least_extent(pts))
+    if width <= EPS_GEO:
+        raise GeometryError("simplex_width: degenerate simplex")
+    return width
 
 
 def _prefix_flats(pts, order) -> list:
@@ -173,26 +165,19 @@ def witness_simplex_prob(ds: StochasticDataset, simplex) -> float:
     return float(np.prod(pi[list(rec)]) * np.prod((1.0 - pi)[excl]))
 
 
-def witness_simplex_decomposition(
-    ds: StochasticDataset,
-) -> Iterator[tuple[tuple[int, ...], float, tuple[int, ...], tuple[int, ...]]]:
-    """All witness simplices with positive probability, grouped by prefix.
+def _witness_groups(ds: StochasticDataset):
+    """The decomposition's cells one construction prefix at a time.
 
-    Yields ``(vertex_list, prob, excluded, free)``: the construction order,
-    the probability that it is the realized witness simplex, the indices
-    forced absent, and the unconstrained indices.  The cells partition the
-    full-dimensional realizations, so the probabilities sum to the
-    probability that a realization is full-dimensional.  This is the one
-    enumeration of cells: the witness estimator sums prob * simplex width
-    over it and the sampling estimator samples each cell's free points.
+    Yields ``(prefix, last, probs, excluded)``: the first d vertices, the
+    array of last vertices, their cells' probabilities and the
+    (len(last), n) mask of the points each cell forces absent.
 
-    Fixing the construction order's first d vertices fixes the exclusion
-    conditions of every step but the last, so one product of absence
-    probabilities serves every last vertex; each last vertex adds the
-    points after it in the (distance to the prefix flat, lex) order.  The
-    last vertices are the points off the prefix flat that beat no step:
-    such a point is at most a tie with each earlier vertex and then
-    lex-smaller, so its vertex set recovers to the prefix followed by it.
+    Fixing the first d vertices fixes the exclusion conditions of every
+    step but the last, so one product of absence probabilities serves
+    every last vertex; each adds the points after it in the (distance to
+    the prefix flat, lex) order.  The last vertices are the points off the
+    prefix flat that beat no step: each is at most a tie with every earlier
+    vertex and then lex-smaller, so it recovers to the prefix plus itself.
     """
     pts, pi = ds.points, ds.probs
     n, d = pts.shape
@@ -223,12 +208,27 @@ def witness_simplex_decomposition(
         w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
         none_after = np.cumprod(w, axis=1)[:, -1]
         left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
-        probs = left * pi[c] * none_after
-        excluded = after | excl
+        yield prefix, c, left * pi[c] * none_after, after | excl
+
+
+def witness_simplex_decomposition(
+    ds: StochasticDataset,
+) -> Iterator[tuple[tuple[int, ...], float, tuple[int, ...], tuple[int, ...]]]:
+    """All witness simplices with positive probability, grouped by prefix.
+
+    Yields ``(vertex_list, prob, excluded, free)``: the construction order,
+    the probability that it is the realized witness simplex, the indices
+    forced absent, and the unconstrained indices.  The cells partition the
+    full-dimensional realizations, so the probabilities sum to the
+    probability that a realization is full-dimensional.  The witness
+    estimator sums over ``_witness_groups``, which this flattens, and the
+    sampling estimator samples each cell's free points.
+    """
+    for prefix, last, probs, excluded in _witness_groups(ds):
         free = ~excluded
-        free[:, plist] = False
-        free[np.arange(c.size), c] = False
-        for v, prob, ex, fr in zip(c.tolist(), probs.tolist(), excluded, free):
+        free[:, list(prefix)] = False
+        free[np.arange(last.size), last] = False
+        for v, prob, ex, fr in zip(last.tolist(), probs.tolist(), excluded, free):
             if prob > 0.0:
                 yield (
                     prefix + (v,),
@@ -253,17 +253,19 @@ def _expected_width_witness_naive(ds: StochasticDataset) -> float:
 def expected_width_witness(ds: StochasticDataset) -> float:
     """Expected witness-simplex width, summed over the decomposition's cells.
 
-    Each cell of ``witness_simplex_decomposition`` adds its probability
-    times its simplex's width.  The result is within
+    Each construction prefix adds its cells' probabilities times their
+    simplices' widths, from one width-kernel call.  The result is within
     [expected width / (2 * 5^(d-1)), expected width], restricted to
     full-dimensional realizations.
     """
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
+    pts, d = ds.points, ds.dim
     total = 0.0
-    for verts, prob, _excluded, _free in witness_simplex_decomposition(ds):
-        total += prob * simplex_width(ds.points[list(verts)])
-    return float(total)
+    for prefix, last, probs, _excluded in _witness_groups(ds):
+        verts = np.column_stack([np.broadcast_to(prefix, (last.size, d)), last])
+        total += float(probs @ _least_extent(pts[verts]))
+    return total
 
 
 _THEORETICAL_HULL_RATIO = {d: 2.0 * 5.0 ** (d - 1) for d in HULL_DIMS}
@@ -352,37 +354,22 @@ def expected_width_fpras(ds: StochasticDataset, config: FprasConfig) -> float:
     """
     n = len(ds)
     d = ds.dim
-    gamma = config.gamma_override
-    if gamma is None:
-        gamma = fpras_gamma(d)
-    else:
-        fpras_gamma(d)  # dimension check
+    gamma = fpras_gamma(d)  # also the dimension check
+    if config.gamma_override is not None:
+        gamma = config.gamma_override
     if n < d + 1:
         return 0.0
     m = fpras_sample_count(n, config.epsilon, gamma)
     pts, pi = ds.points, ds.probs
-    cache: dict[tuple[int, ...], float] = {}
-
-    def width_of(idx: tuple[int, ...]) -> float:
-        wid = cache.get(idx)
-        if wid is None:
-            wid = pointset_width(pts[list(idx)])
-            cache[idx] = wid
-        return wid
-
     total = 0.0
     for verts, prob, _excluded, free in witness_simplex_decomposition(ds):
         base = tuple(sorted(verts))
-        if not free:
-            total += prob * width_of(base)
-            continue
-        rng = rng_stream(config.seed, *base)
-        present = rng.random((m, len(free))) < pi[list(free)]
-        rows, counts = _count_rows(present)
-        free_arr = np.asarray(free, dtype=np.intp)
-        acc = 0.0
-        for row, cnt in zip(rows, counts):
-            subset = tuple(sorted(base + tuple(free_arr[row].tolist())))
-            acc += cnt * width_of(subset)
-        total += prob * (acc / m)
+        rows = np.zeros((1, 0), dtype=bool)
+        if free:
+            rng = rng_stream(config.seed, *base)
+            rows, counts = _count_rows(rng.random((m, len(free))) < pi[list(free)])
+        # one row per distinct sample: the simplex present, the free points drawn
+        present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
+        widths = _least_extent(pts[list(base + free)], present)
+        total += prob * (_ordered_sum(0.0, counts, widths) / m if free else widths[0])
     return float(total)

@@ -25,7 +25,7 @@ from schull import (
     witness_simplex_decomposition,
     witness_simplex_prob,
 )
-from schull.geometry import affine_rank
+from schull.geometry import _least_extent, affine_rank
 from schull.width import _count_rows, _expected_width_witness_naive
 
 from conftest import grid_dataset, random_dataset, random_points
@@ -75,6 +75,8 @@ def test_simplex_width_tetrahedron():
     assert simplex_width(tet) == pytest.approx(1.0 / math.sqrt(2.0))
     # matches the generic width routine on the same 4 points
     assert simplex_width(tet) == pytest.approx(pointset_width(tet))
+    # no absolute tolerance on a small simplex
+    assert simplex_width(tet * 1e-5) == pytest.approx(1e-5 / math.sqrt(2.0))
 
 
 def test_simplex_width_matches_pointset_width(rng):
@@ -86,6 +88,34 @@ def test_simplex_width_matches_pointset_width(rng):
             assert simplex_width(pts) == pytest.approx(
                 pointset_width(pts), rel=1e-9
             )
+    # The width kernel against the hull-based reference, on a batch of
+    # simplices and on presence rows of one point set.  Grid points give
+    # exact ties and parallel pair differences; a rank-deficient row has
+    # true width 0 and the kernel its rounding noise, hence the abs floor.
+    for d in (2, 3):
+        for pts in (random_points(rng, 9, d), grid_dataset(rng, 9, d).points):
+            verts = np.array([rng.choice(9, d + 1, replace=False) for _ in range(40)])
+            ref = [pointset_width(pts[v]) for v in verts]
+            assert _least_extent(pts[verts]) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            present = rng.random((60, 9)) < 0.6
+            present[:, : d + 1] = True
+            ref = [pointset_width(pts[row]) for row in present]
+            got = _least_extent(pts, present)
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 7)])
+def test_width_estimators_scale_with_coordinates(rng, d, n):
+    # Both width estimators scale linearly with the coordinates.  Below
+    # 10^-6 the decomposition's absolute distance-tie tolerance still decides
+    # ties, so smaller scales are left out.
+    ds = random_dataset(rng, n, d)
+    cfg = FprasConfig(epsilon=0.25, seed=5, gamma_override=4.0)
+    base = (expected_width_witness(ds), expected_width_fpras(ds, cfg))
+    for k in range(-6, 9):
+        scaled = StochasticDataset(ds.points * 10.0**k, ds.probs)
+        got = (expected_width_witness(scaled), expected_width_fpras(scaled, cfg))
+        assert got == pytest.approx((base[0] * 10.0**k, base[1] * 10.0**k), rel=1e-9), k
 
 
 def test_witness_simplex_prob_square():
