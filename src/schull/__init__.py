@@ -7,14 +7,17 @@ exact-in-expectation bracketing estimators for the diameter and width,
 closed-form face and membership probabilities, the exact expected face
 counts and complexity for d = 2 and 3, and a brute-force enumeration oracle
 for small inputs that everything else is tested against.
+
+The root exports the estimators, the oracle and their inputs.  Reference
+routines and internal layers (hulls and widths of point sets, the witness
+constructions, the witness-simplex decomposition, seeded streams) are
+imported from their modules.
 """
 
 from .complexity import (
-    HyperplaneStat,
     expected_complexity,
     expected_face_counts,
     face_prob,
-    hyperplane_statistics,
     membership_prob_1d,
     membership_prob_2d,
 )
@@ -25,55 +28,32 @@ from .dataset import (
     dataset_to_json,
     enumerate_realizations,
     load_dataset,
-    oracle_distribution,
     oracle_expectation,
     oracle_face_expectations,
     parse_dataset,
-    realization_prob,
-    rng_stream,
-    sample_realization,
     save_dataset,
 )
 from .diameter import (
     DIAMETER_WITNESS_FACTOR,
     TWO_APPROX_FACTOR,
     HardnessInstance,
-    WitnessSequence,
     count_independent_sets,
-    diameter_approx_pointset,
     expected_diameter_two_approx,
     expected_diameter_witness,
-    farthest_from,
     hardness_identity_check,
     hardness_identity_rhs,
     hardness_instance,
     parse_graph,
-    witness_prob,
-    witness_sequence,
 )
 from .errors import CapabilityError, DatasetError, GeometryError, SchullError
-from .geometry import (
-    EPS_GEO,
-    HULL_DIMS,
-    HullSummary,
-    convex_hull,
-    farthest_pair,
-    pointset_width,
-    project_orthocomplement,
-)
+from .geometry import HULL_DIMS
 from .width import (
     FprasConfig,
-    WitnessSimplex,
     expected_width_fpras,
     expected_width_witness,
     fpras_gamma,
     fpras_sample_count,
-    recover_vertex_list,
-    simplex_width,
     width_simplex_factor,
-    witness_simplex,
-    witness_simplex_decomposition,
-    witness_simplex_prob,
 )
 
 __version__ = "0.1.0"
@@ -82,24 +62,17 @@ __all__ = [
     "CapabilityError",
     "DatasetError",
     "DIAMETER_WITNESS_FACTOR",
-    "EPS_GEO",
     "FprasConfig",
     "GeometryError",
     "HardnessInstance",
-    "HullSummary",
     "HULL_DIMS",
-    "HyperplaneStat",
     "MAX_ENUM_POINTS",
     "ORACLE_STATISTICS",
     "SchullError",
     "StochasticDataset",
     "TWO_APPROX_FACTOR",
-    "WitnessSequence",
-    "WitnessSimplex",
-    "convex_hull",
     "count_independent_sets",
     "dataset_to_json",
-    "diameter_approx_pointset",
     "enumerate_realizations",
     "expected_complexity",
     "expected_diameter_two_approx",
@@ -108,34 +81,18 @@ __all__ = [
     "expected_width_fpras",
     "expected_width_witness",
     "face_prob",
-    "farthest_from",
-    "farthest_pair",
     "fpras_gamma",
     "fpras_sample_count",
     "hardness_identity_check",
     "hardness_identity_rhs",
     "hardness_instance",
-    "hyperplane_statistics",
     "load_dataset",
     "membership_prob_1d",
     "membership_prob_2d",
-    "oracle_distribution",
     "oracle_expectation",
     "oracle_face_expectations",
     "parse_dataset",
     "parse_graph",
-    "pointset_width",
-    "project_orthocomplement",
-    "realization_prob",
-    "recover_vertex_list",
-    "rng_stream",
-    "sample_realization",
     "save_dataset",
-    "simplex_width",
     "width_simplex_factor",
-    "witness_prob",
-    "witness_sequence",
-    "witness_simplex",
-    "witness_simplex_decomposition",
-    "witness_simplex_prob",
 ]

@@ -32,6 +32,7 @@ from .dataset import (
 )
 from .diameter import (
     DIAMETER_WITNESS_FACTOR,
+    MAX_HARDNESS_CHECK_N,
     TWO_APPROX_FACTOR,
     count_independent_sets,
     expected_diameter_two_approx,
@@ -241,7 +242,7 @@ def _cmd_gen(args) -> int:
         "independent_sets": None,
         "expected_diameter": None,
     }
-    if inst.n_vertices <= 20:
+    if inst.n_vertices <= MAX_HARDNESS_CHECK_N:
         ind = count_independent_sets(inst.n_vertices, inst.edges)
         meta["independent_sets"] = ind
         meta["expected_diameter"] = hardness_identity_rhs(inst, ind)

@@ -18,9 +18,8 @@ than returning silently wrong probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -200,21 +199,6 @@ def face_prob(ds: StochasticDataset, face) -> float:
     return float(np.prod(ds.probs[list(verts)])) * (1.0 - mem)
 
 
-@dataclass(frozen=True)
-class HyperplaneStat:
-    """Emptiness probabilities of the two open sides of a point hyperplane.
-
-    ``on_plane`` holds the d defining indices, sorted.  The normal is
-    canonical: unit length with its first nonzero coordinate positive.
-    ``p_pos``/``p_neg`` are the probabilities that no present point lies
-    strictly on the positive/negative side.
-    """
-
-    on_plane: tuple[int, ...]
-    p_pos: float
-    p_neg: float
-
-
 def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
     """The hyperplanes through d dataset points, one group per (d-1)-subset.
 
@@ -257,31 +241,6 @@ def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
         left, right = _half_plane_empty(w, omp[others], others, fixed)
         new = others > fixed[-1]
         yield fixed, others[new], left[new], right[new]
-
-
-def hyperplane_statistics(
-    ds: StochasticDataset, visitor: Callable[[HyperplaneStat], None]
-) -> int:
-    """Visit every hyperplane through d dataset points once, with its side
-    stats from ``_sweep_groups``; degenerate inputs raise GeometryError
-    naming the points.  Returns the number of visits, C(n, d)."""
-    pts = ds.points
-    count = 0
-    for fixed, new, left, right in _sweep_groups(ds):
-        v = pts[new] - pts[fixed[0]]
-        if ds.dim == 2:
-            normals = np.stack([-v[:, 1], v[:, 0]], axis=1)
-        else:
-            normals = np.cross(pts[fixed[1]] - pts[fixed[0]], v)
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        lead = np.argmax(np.abs(normals) > EPS_GEO, axis=1)
-        flip = normals[np.arange(len(new)), lead] < 0.0
-        p_pos = np.where(flip, right, left)
-        p_neg = np.where(flip, left, right)
-        for b, pp, pn in zip(new.tolist(), p_pos.tolist(), p_neg.tolist()):
-            visitor(HyperplaneStat(fixed + (b,), pp, pn))
-        count += len(new)
-    return count
 
 
 def _size_probs(pi: np.ndarray, d: int) -> np.ndarray:

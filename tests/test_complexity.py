@@ -12,12 +12,12 @@ from schull import (
     expected_complexity,
     expected_face_counts,
     face_prob,
-    hyperplane_statistics,
     membership_prob_1d,
     membership_prob_2d,
     oracle_expectation,
     oracle_face_expectations,
 )
+from schull.complexity import _sweep_groups
 
 from conftest import (
     brute_hyperplane_stats,
@@ -27,6 +27,7 @@ from conftest import (
     membership_enumeration,
     random_dataset,
     random_points,
+    sweep_stats,
 )
 
 
@@ -155,26 +156,15 @@ def test_face_prob_matches_enumeration_3d(rng):
 # --- hyperplane sweep ---
 
 
-def _collect_stats(ds):
-    seen = {}
-
-    def visit(stat):
-        assert stat.on_plane not in seen, "hyperplane visited twice"
-        seen[stat.on_plane] = (stat.p_pos, stat.p_neg)
-
-    count = hyperplane_statistics(ds, visit)
-    return count, seen
-
-
 @pytest.mark.parametrize("n,d", [(6, 2), (9, 2), (5, 3), (7, 3)])
 def test_sweep_matches_brute(rng, n, d):
     ds = random_dataset(rng, n, d)
     # moving point 1 along the first axis from point 0 gives hyperplanes
-    # whose canonical normal has a zero first coordinate
+    # whose normal has a zero first coordinate, and an axis-aligned frame
     pts = ds.points.copy()
     pts[1] = pts[0] + 0.7 * np.eye(d)[0]
     for ds in (ds, StochasticDataset(pts, ds.probs)):
-        count, seen = _collect_stats(ds)
+        count, seen = sweep_stats(ds)
         assert count == math.comb(n, d)
         assert len(seen) == count
         for sub, (bp, bn) in brute_hyperplane_stats(ds).items():
@@ -191,7 +181,7 @@ def test_sweep_with_certain_points(rng):
         probs[2] = 1.0
         probs[5] = 1.0
         ds = StochasticDataset(pts, probs)
-        _, seen = _collect_stats(ds)
+        _, seen = sweep_stats(ds)
         for sub, (bp, bn) in brute_hyperplane_stats(ds).items():
             assert seen[sub] == pytest.approx((bp, bn), abs=1e-12)
 
@@ -200,27 +190,24 @@ def test_sweep_degenerate_inputs():
     collinear = StochasticDataset(
         [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.5] * 4
     )
+    # the sweep's errors reach the expected face counts, which need general
+    # position for Euler
     with pytest.raises(GeometryError, match=r"points \[0, 1, 2\] lie on a common"):
-        hyperplane_statistics(collinear, lambda s: None)
+        expected_face_counts(collinear)
     cube = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
     with pytest.raises(GeometryError, match=r"points \[0, 1, 2, 3\] lie on a common"):
-        hyperplane_statistics(StochasticDataset(cube, [0.5] * 8), lambda s: None)
+        expected_face_counts(StochasticDataset(cube, [0.5] * 8))
     collinear3 = StochasticDataset(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.3, 1.0, 0.2]],
         [0.5] * 4,
     )
     with pytest.raises(GeometryError, match=r"point 2 lies on the affine span of .*\[0, 1\]"):
-        hyperplane_statistics(collinear3, lambda s: None)
+        expected_face_counts(collinear3)
     # the same degeneracies reach face probabilities through the one kernel
     with pytest.raises(GeometryError, match=r"points \[0, 1, 2\] lie on a common"):
         face_prob(collinear, (0,))
     with pytest.raises(GeometryError, match=r"point 3 lies on the affine span of .*\[0, 1, 2\]"):
         face_prob(StochasticDataset(cube, [0.5] * 8), (0, 1, 2))
-    # and the expected face counts, which need general position for Euler
-    with pytest.raises(GeometryError, match=r"points \[0, 1, 2\] lie on a common"):
-        expected_complexity(collinear)
-    with pytest.raises(GeometryError, match=r"points \[0, 1, 2, 3\] lie on a common"):
-        expected_face_counts(StochasticDataset(cube, [0.5] * 8))
 
 
 def _subface_sum(ds):
@@ -253,7 +240,7 @@ def test_terms_invariant_under_rigid_motion_and_order(d):
 def test_sweep_dimension_guard(rng):
     ds = StochasticDataset(rng.uniform(-1, 1, (6, 4)), np.full(6, 0.5))
     with pytest.raises(CapabilityError):
-        hyperplane_statistics(ds, lambda s: None)
+        next(_sweep_groups(ds))
     with pytest.raises(CapabilityError):
         expected_complexity(ds)
 

@@ -12,22 +12,20 @@ from schull import (
     DatasetError,
     StochasticDataset,
     count_independent_sets,
-    diameter_approx_pointset,
     expected_diameter_two_approx,
     expected_diameter_witness,
-    farthest_from,
     hardness_identity_check,
     hardness_instance,
     oracle_expectation,
     enumerate_realizations,
     parse_graph,
-    witness_prob,
-    witness_sequence,
 )
 from schull.diameter import (
     _expected_diameter_witness_naive,
     double_simplex,
     regular_simplex,
+    witness_prob,
+    witness_sequence,
 )
 
 from conftest import grid_dataset, random_dataset, random_points
@@ -35,12 +33,6 @@ from conftest import grid_dataset, random_dataset, random_points
 
 def test_factor_value():
     assert DIAMETER_WITNESS_FACTOR == pytest.approx(2.0 * math.sqrt(2.0 / 3.0))
-
-
-def test_farthest_from_tie_breaks_lex():
-    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    # both [1,0] and [-1,0] at distance 1 from origin; lex-max is [1,0]
-    assert farthest_from(pts, [0.0, 0.0]) == 0
 
 
 def test_witness_examples():
@@ -70,7 +62,7 @@ def test_pointset_bracket(rng):
         n = int(rng.integers(2, 30))
         d = int(rng.integers(2, 6))
         pts = random_points(rng, n, d)
-        approx = diameter_approx_pointset(pts)
+        approx = witness_sequence(pts).spread
         diam = max(
             np.linalg.norm(pts[a] - pts[b]) for a in range(n) for b in range(n)
         )

@@ -3,20 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schull import (
-    CapabilityError,
-    GeometryError,
-    convex_hull,
-    farthest_pair,
-    pointset_width,
-    project_orthocomplement,
-)
+from schull import CapabilityError, GeometryError
 from schull.geometry import (
     EPS_GEO,
     affine_rank,
+    convex_hull,
+    distance_matrix,
     dists_to_flat,
     flat_through,
     lex_ranks,
+    pointset_width,
+    project_orthocomplement,
 )
 
 from conftest import random_points
@@ -175,19 +172,7 @@ def test_hull_dimension_guard():
         convex_hull(np.zeros((3, 4)))
 
 
-# --- farthest pair / width ---
-
-
-def test_farthest_pair_matches_brute(rng):
-    for n, d in [(8, 2), (13, 3), (10, 5)]:
-        pts = random_points(rng, n, d)
-        pa, pb, dist = farthest_pair(pts)
-        brute = max(
-            np.linalg.norm(pts[a] - pts[b]) for a in range(n) for b in range(n)
-        )
-        assert dist == pytest.approx(brute, abs=1e-12)
-        assert np.linalg.norm(pa - pb) == pytest.approx(dist)
-        assert tuple(pa) < tuple(pb)  # returned smaller point first
+# --- width ---
 
 
 def test_width_known_shapes():
@@ -236,4 +221,4 @@ def test_width_is_min_directional_extent(rng):
 def test_width_at_most_diameter(n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (n, 2))
-    assert pointset_width(pts) <= farthest_pair(pts)[2] + EPS_GEO
+    assert pointset_width(pts) <= distance_matrix(pts).max() + EPS_GEO

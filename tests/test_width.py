@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -17,16 +16,18 @@ from schull import (
     fpras_gamma,
     fpras_sample_count,
     oracle_expectation,
-    pointset_width,
+    width_simplex_factor,
+)
+from schull.geometry import _least_extent, affine_rank, pointset_width
+from schull.width import (
+    _count_rows,
+    _expected_width_witness_naive,
     recover_vertex_list,
     simplex_width,
-    width_simplex_factor,
     witness_simplex,
     witness_simplex_decomposition,
     witness_simplex_prob,
 )
-from schull.geometry import _least_extent, affine_rank
-from schull.width import _count_rows, _expected_width_witness_naive
 
 from conftest import grid_dataset, random_dataset, random_points
 
@@ -39,9 +40,8 @@ def test_factor_values():
 
 
 def test_witness_simplex_square():
-    ws = witness_simplex(SQUARE)
     # lex-max corner, farthest point from it, then farthest from their line
-    assert ws.vertex_list == (3, 0, 1)
+    assert witness_simplex(SQUARE) == (3, 0, 1)
 
 
 def test_witness_simplex_degenerate():
@@ -135,8 +135,7 @@ def test_witness_simplex_bracket_random_realizations(rng):
             pts = random_points(rng, n, d)
             if affine_rank(pts)[0] < d:
                 continue
-            ws = witness_simplex(pts)
-            sw = simplex_width(pts[list(ws.vertex_list)])
+            sw = simplex_width(pts[list(witness_simplex(pts))])
             w = pointset_width(pts)
             assert sw <= w + 1e-9
             assert sw >= c1 * w - 1e-9
@@ -187,7 +186,7 @@ def test_decomposition_partitions_realizations(rng):
                 for verts, _p, excluded, _f in cells
                 if present.issuperset(verts) and present.isdisjoint(excluded)
             ]
-            expect = tuple(idx[i] for i in witness_simplex(sub).vertex_list)
+            expect = tuple(idx[i] for i in witness_simplex(sub))
             assert hits == [expect]
         assert full_rank > 0
 
@@ -222,8 +221,7 @@ def test_width_witness_equals_enumeration(rng):
         for idx, pr in enumerate_realizations(ds):
             sub = ds.points[list(idx)]
             if len(idx) > d and affine_rank(sub)[0] == d:
-                ws = witness_simplex(sub)
-                expect += pr * simplex_width(sub[list(ws.vertex_list)])
+                expect += pr * simplex_width(sub[list(witness_simplex(sub))])
         assert expected_width_witness(ds) == pytest.approx(expect, abs=1e-9)
 
 
