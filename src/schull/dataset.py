@@ -6,14 +6,15 @@ owns the JSON interchange format, the seeded random streams, and the
 exponential enumeration oracle that every estimator is tested against.
 
 The oracle sums over all 2^n realizations (bit i of a mask = point i).
-Diameter (any d), width (d = 2, 3) and the planar face counts are computed
-for every mask as arrays, in blocks of 2^14 masks, from the coordinates
-alone: a subset recursion for the diameter, the least extent over the
-candidate directions of the one width kernel (``geometry._least_extent``)
-for the width, and exact orientation signs for the planar hull.  The 3-d
-face counts still walk the realizations and build each hull with
-``convex_hull``.  The complexity is the sum of the face census, in either
-dimension.
+Every statistic is computed for every mask as arrays, in blocks of 2^14
+masks, from the coordinates alone: a subset recursion for the diameter,
+the least extent over the candidate directions of the one width kernel
+(``geometry._least_extent``) for the width (d = 2, 3), and for the face
+census (d = 2, 3) bit-mask tests of supporting pairs and triples whose
+sides are exact signs on the coordinates, with no tolerance.  The 3-d
+census counts vertices, edges and facets each on its own, with no Euler
+identity, so it stays an independent check of the estimators.  The
+complexity is the sum of the face census.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapabilityError, DatasetError
-from .geometry import HULL_DIMS, as_points, convex_hull, distance_matrix
+from .geometry import HULL_DIMS, as_points, distance_matrix
 from .geometry import _candidate_directions
 
 # Enumeration walks all 2^n realizations; past this the oracle is hopeless.
@@ -319,6 +320,23 @@ def _supporting_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return need, sel
 
 
+def _support_chunks(masks: np.ndarray, need: np.ndarray, sel: np.ndarray,
+                    rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(r, hits): hits[t, m] says whether row r + t of (need, sel) supports
+    realization masks[m], i.e. masks[m] & sel == need, for rows r .. r + rows - 1."""
+    for r in range(0, len(need), rows):
+        yield r, (masks & sel[r:r + rows, None]) == need[r:r + rows, None]
+
+
+def _count_supports(masks: np.ndarray, need: np.ndarray, sel: np.ndarray,
+                    rows: int) -> np.ndarray:
+    """Number of rows of (need, sel) that support each realization."""
+    hits = np.zeros(len(masks), dtype=np.int16)
+    for _, hit in _support_chunks(masks, need, sel, rows):
+        hits += hit.sum(axis=0, dtype=np.int16)
+    return hits
+
+
 def _planar_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Vertex and edge counts of the hull of every planar realization.
 
@@ -331,21 +349,106 @@ def _planar_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, 
     counts = _bit_counts(lo)
     for h in range(1 << (n - lo)):
         masks = np.arange(h << lo, (h + 1) << lo, dtype=np.int32)
-        hits = np.zeros(1 << lo, dtype=np.int16)
-        for r in range(0, len(need), rows):
-            hits += ((masks & sel[r:r + rows, None]) == need[r:r + rows, None]).sum(
-                axis=0, dtype=np.int16)
+        hits = _count_supports(masks, need, sel, rows)
         yield hits + (counts + bin(h).count("1") == 1), hits - (hits == 2)
+
+
+def _spatial_supports(pts: np.ndarray) -> tuple:
+    """Bit masks (need, sel) of the 3-d face census; a row supports
+    realization S iff S & sel == need.  Sides are exact signs on the input
+    coordinates, with no tolerance.
+
+    Returns ``line``, ``edge`` and ``facet`` row sets and ``ends``:
+    - line (pair i < j): i and j are the two smallest members of S and S
+      lies on line ij, so S is collinear.
+    - edge (pair i < j, third point k off line ij; ``ends`` = the pair's
+      bits): i and j are the extremes of S on line ij, no member of S is
+      strictly on the positive side of the plane ijk (normal
+      (j - i) x (k - i)), and projected along j - i, every member on that
+      plane lands in the segment from ij to k, the members landing on k
+      having larger indices.  Then ij projects to a corner of the projected
+      hull of S and k to the next corner, so ij is an edge with exactly one
+      supporting row.
+    - facet (triple i < j < k, not collinear; one ``need`` and a ``sel``
+      for each side of the plane): no member of S is strictly on that side
+      of plane ijk, i and j are the two smallest members on the plane and
+      k is the smallest one on it off line ij.  Each facet plane of S has
+      one such triple; a coplanar S passes with both sides.
+    """
+    n = len(pts)
+    q = _exact_coords(pts)
+    idx = np.arange(n)
+    bits = 1 << np.arange(n, dtype=np.int32)
+    first_of, second_of = np.triu_indices(n, 1)
+    pairs = bits[first_of] | bits[second_of]
+    line, rows = [], [[np.zeros(0, dtype=np.int32)] for _ in range(6)]
+    for i, j, pair in zip(first_of, second_of, pairs):
+        e = q[j] - q[i]
+        rel = q - q[i]
+        # normal[x] is the normal of plane ijx, zero for x on line ij
+        normal = np.cross(e, rel)
+        on_line = (normal == 0).all(axis=1)
+        along = rel @ e
+        outside = on_line & ((along < 0) | (along > e @ e))
+        line.append(pair | ((~on_line | (idx < j)) @ bits))
+        # one row per third point k; pos is the position along the plane's
+        # direction normal[k] x e, (normal[k] x e) . rel = normal[k] . normal,
+        # so pos[k] > 0 and pos = 0 on line ij
+        k = np.flatnonzero(~on_line)
+        side = normal[k] @ rel.T
+        pos = normal[k] @ normal.T
+        pos_k = pos[np.arange(len(k)), k][:, None]
+        flat = side == 0
+        before_k = idx < k[:, None]
+        need = pair | bits[k]
+        beyond = flat & ((pos < 0) | (pos > pos_k) | ((pos == pos_k) & before_k))
+        f = k > j
+        first = flat[f] & ((idx < j) | (~on_line & before_k[f]))
+        for col, val in zip(rows, (
+                need, need | ((outside | (side > 0) | beyond) @ bits),
+                np.full(len(k), pair), need[f],
+                need[f] | ((first | (side[f] > 0)) @ bits),
+                need[f] | ((first | (side[f] < 0)) @ bits))):
+            col.append(val)
+    need, sel, ends, f_need, up, down = map(np.concatenate, rows)
+    return (pairs, np.array(line, dtype=np.int32)), (need, sel), ends, (f_need, up, down)
+
+
+def _spatial_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Vertex, edge and facet counts of the hull of every realization in
+    space, each counted on its own from ``_spatial_supports``.
+
+    E is the number of supporting edge rows, V the number of distinct
+    endpoints of those edges and F the number of facet triples that
+    support S with either side.  A collinear realization adds two vertices
+    and one edge, a singleton one vertex.
+    """
+    n = len(pts)
+    line, (need, sel), ends, (f_need, f_up, f_down) = _spatial_supports(pts)
+    rows = (1 << _BLOCK_BITS) >> lo
+    counts = _bit_counts(lo)
+    for h in range(1 << (n - lo)):
+        masks = np.arange(h << lo, (h + 1) << lo, dtype=np.int32)
+        collinear = _count_supports(masks, *line, rows)
+        edges = np.zeros(1 << lo, dtype=np.int16)
+        verts = np.zeros(1 << lo, dtype=np.int32)
+        for r, hit in _support_chunks(masks, need, sel, rows):
+            edges += hit.sum(axis=0, dtype=np.int16)
+            verts |= np.bitwise_or.reduce(np.where(hit, ends[r:r + rows, None], 0), axis=0)
+        facets = np.zeros(1 << lo, dtype=np.int16)
+        for r, hit in _support_chunks(masks, f_need, f_up, rows):
+            hit |= (masks & f_down[r:r + rows, None]) == f_need[r:r + rows, None]
+            facets += hit.sum(axis=0, dtype=np.int16)
+        single = counts + bin(h).count("1") == 1
+        yield np.bitwise_count(verts) + 2 * collinear + single, edges + collinear, facets
 
 
 def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
     """Expected value of a hull statistic by full enumeration.
 
     Empty and singleton realizations contribute 0 to diameter and width.
-    The complexity is the sum of ``oracle_face_expectations``: the empty
-    realization counts 0 and degenerate hulls are counted by the
-    lower-dimensional face convention of ``convex_hull``.  Diameter and
-    width are evaluated on all masks as arrays, their terms added one at a
+    The complexity is the sum of ``oracle_face_expectations``.  Every
+    statistic is evaluated on all masks as arrays, its terms added one at a
     time in ascending mask order.
     """
     if statistic not in ORACLE_STATISTICS:
@@ -367,20 +470,19 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
 
 
 def oracle_face_expectations(ds: StochasticDataset) -> np.ndarray:
-    """Expected count of k-dimensional hull faces, for each k < d."""
+    """Expected count of k-dimensional hull faces, for each k < d.
+
+    The empty realization has no faces.  A hull of affine dimension r < d
+    has the faces of its r-dimensional hull plus itself: a point [1, 0],
+    a segment [2, 1] in the plane; in space a point [1, 0, 0], a segment
+    [2, 1, 0] and a polygon with h corners [h, h, 1].
+    """
     _guard_enum(ds)
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"face oracle supports d in {HULL_DIMS}, got d={ds.dim}")
-    if ds.dim == 2:
-        lo = min(len(ds), _BLOCK_BITS)
-        verts = edges = 0.0
-        for prob, (v, e) in zip(_mask_blocks(ds, lo), _planar_face_blocks(ds.points, lo)):
-            verts = _ordered_sum(verts, prob, v)
-            edges = _ordered_sum(edges, prob, e)
-        return np.array([verts, edges])
-    out = np.zeros(ds.dim)
-    for idx, pr in enumerate_realizations(ds):
-        if idx:
-            out += pr * np.array(convex_hull(ds.points[list(idx)]).face_counts)
-    return out
-
+    lo = min(len(ds), _BLOCK_BITS)
+    blocks = _planar_face_blocks if ds.dim == 2 else _spatial_face_blocks
+    out = [0.0] * ds.dim
+    for prob, faces in zip(_mask_blocks(ds, lo), blocks(ds.points, lo)):
+        out = [_ordered_sum(t, prob, c) for t, c in zip(out, faces)]
+    return np.array(out)

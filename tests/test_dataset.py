@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from schull import (
     width_simplex_factor,
 )
 import schull.dataset
+import schull.geometry
 from schull.dataset import ORACLE_STATISTICS, rng_stream
 from schull.geometry import pointset_width
 
@@ -241,10 +243,7 @@ def test_mask_oracle_matches_realization_walk(rng):
 def test_mask_oracle_blocks_do_not_change_bits(rng, monkeypatch):
     # Block size changes no probability, no per-mask value and no summation
     # order, so 16-mask blocks must reproduce the one-block results exactly.
-    # The 3-d complexity and faces walk the realizations, unblocked.
     def values(ds):
-        if ds.dim == 3:
-            return [oracle_expectation(ds, s) for s in ("diameter", "width")]
         return [oracle_expectation(ds, s) for s in ORACLE_STATISTICS] + list(
             oracle_face_expectations(ds))
 
@@ -254,12 +253,41 @@ def test_mask_oracle_blocks_do_not_change_bits(rng, monkeypatch):
     assert [values(ds) for ds in cases] == full
 
 
+@pytest.mark.parametrize("points, faces", [
+    (list(product((0.0, 1.0), repeat=3)), [8, 12, 6]),
+    ([[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0], [1, 1, 1]], [5, 8, 5]),
+    # the regular hexagon of the permutations of (1, -1, 0), in x + y + z = 3
+    ([[2, 0, 1], [2, 1, 0], [1, 2, 0], [0, 2, 1], [0, 1, 2], [1, 0, 2]], [6, 6, 1]),
+    ([[0, 0, 0], [1, 2, 3], [2, 4, 6]], [2, 1, 0]),
+    ([[1, 2, 3]], [1, 0, 0]),
+], ids=["cube", "square-pyramid", "tilted-hexagon", "collinear", "point"])
+def test_face_oracle_degenerate_3d_hulls(points, faces):
+    """Certain points: the expectation is the census of the one realization,
+    with coplanar facets merged, collinear points on edges not counted and
+    lower-dimensional hulls counted with their faces plus themselves."""
+    ds = make(points, [1.0] * len(points))
+    assert oracle_face_expectations(ds).tolist() == faces
+    assert oracle_expectation(ds, "complexity") == sum(faces)
+
+
+def test_face_oracle_3d_builds_no_hull(rng, monkeypatch):
+    # The 3-d face census must stand on its own: it may neither build hulls
+    # nor walk the realizations one at a time.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mask oracle called a per-realization routine")
+
+    ds = grid_dataset(rng, 9, 3)
+    ref = oracle_by_realization(ds, "faces")
+    monkeypatch.setattr(schull.geometry, "convex_hull", refuse)
+    monkeypatch.setattr(schull.dataset, "enumerate_realizations", refuse)
+    assert oracle_face_expectations(ds) == pytest.approx(ref, rel=1e-12)
+    assert oracle_expectation(ds, "complexity") == pytest.approx(ref.sum(), rel=1e-12)
+
+
 def test_oracle_scale_and_rigid_motion(rng):
-    """Diameter and width scale with the coordinates and the planar
-    complexity does not change, for scales 10^-8 .. 10^8; rotation,
-    translation and input order change none of the three.  The 3-d
-    complexity oracle still builds hulls with an absolute tolerance, so it
-    is left out of the scale loop."""
+    """Diameter and width scale with the coordinates and the complexity
+    does not change, for scales 10^-8 .. 10^8; rotation, translation and
+    input order change none of the three."""
     for d, n in ((2, 8), (3, 7)):
         ds = random_dataset(rng, n, d)
         base = {stat: oracle_expectation(ds, stat) for stat in ORACLE_STATISTICS}
@@ -268,9 +296,8 @@ def test_oracle_scale_and_rigid_motion(rng):
             for stat in ("diameter", "width"):
                 assert oracle_expectation(scaled, stat) == pytest.approx(
                     base[stat] * 10.0**k, rel=1e-9), (d, k, stat)
-            if d == 2:
-                assert oracle_expectation(scaled, "complexity") == pytest.approx(
-                    base["complexity"], rel=1e-9), (d, k)
+            assert oracle_expectation(scaled, "complexity") == pytest.approx(
+                base["complexity"], rel=1e-9), (d, k)
         rot, _ = np.linalg.qr(rng.normal(size=(d, d)))
         perm = rng.permutation(n)
         moved = StochasticDataset(
