@@ -98,8 +98,11 @@ def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
     not count, entry k is the probability that no counted point after
     position k is present.
     """
-    run = np.cumprod(w[..., ::-1], axis=-1)[..., ::-1]
-    return np.concatenate([run[..., 1:], np.ones(w.shape[:-1] + (1,))], axis=-1)
+    out = np.empty(w.shape)
+    out[..., -1] = 1.0
+    # out[k - 1] = w[-1] * ... * w[k], multiplied from the far end
+    np.cumprod(w[..., :0:-1], axis=-1, out=out[..., -2::-1])
+    return out
 
 
 def witness_prob(ds: StochasticDataset, witness) -> float:
@@ -162,14 +165,82 @@ def _expected_diameter_witness_naive(ds: StochasticDataset) -> float:
     return total
 
 
+def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row's columns sorted by (distance, lex rank).
+
+    ``cols`` lists the columns of ``dist`` in ascending lex rank, so a stable
+    sort on distance alone breaks exact ties by rank, as
+    ``np.lexsort((ranks, dist_row))`` does.
+    """
+    return cols[np.argsort(dist, axis=1, kind="stable")]
+
+
+def _rechunk(blocks, size: int):
+    """Regroup a stream of row-aligned array tuples into ``size``-row tuples.
+
+    Rows keep their order across blocks; only the last tuple may be shorter.
+    """
+    held, count = [], 0
+    for block in blocks:
+        held.append(block)
+        count += len(block[0])
+        if count < size:
+            continue
+        merged = [np.concatenate(parts) for parts in zip(*held)]
+        stop = count - count % size
+        for s in range(0, stop, size):
+            yield tuple(m[s : s + size] for m in merged)
+        held = [tuple(m[stop:] for m in merged)]
+        count -= stop
+    if count:
+        yield tuple(np.concatenate(parts) for parts in zip(*held))
+
+
+# Prefix triples (p1, p2, p3) per batch of the witness sum, and anchor rows
+# per block of the 2-approximation; both bound working memory, not results.
+_WITNESS_CHUNK = 32
+_TWO_APPROX_BLOCK = 32
+
+
+def _witness_triples(after: np.ndarray, ranks: np.ndarray):
+    """Valid witness prefixes (p1, p2, p3) and their exclusion rows, per p1.
+
+    ``after[b, a, j]`` says that j comes after a in the (distance, lex) order
+    from b.  A prefix survives when none of its points is excluded by the
+    lex-larger rule or by the contests that picked p2 and p3.  Yields
+    ``(p1, p2, p3, e3)`` arrays in lexicographic triple order; row k of
+    ``e3`` is the set already excluded by triple k.
+    """
+    n = len(ranks)
+    ar = np.arange(n)
+    for p1 in range(n):
+        e12 = (ranks > ranks[p1]) | after[p1]  # row p2
+        p2 = np.flatnonzero(~(e12[:, p1] | e12[ar, ar]) & (ar != p1))
+        if not len(p2):
+            continue
+        # e3s[k, p3]: e12 of p2[k] plus the points after p3 in the order from p2[k]
+        e3s = e12[p2][:, None, :] | after[p2]
+        ok3 = ~(e3s[:, :, p1] | e3s[np.arange(len(p2)), :, p2] | e3s[:, ar, ar])
+        k, p3 = np.nonzero(ok3)
+        yield np.full(len(k), p1), p2[k], p3, e3s[k, p3]
+
+
 def expected_diameter_witness(ds: StochasticDataset) -> float:
     """Expected witness spread, grouped by the first four witness indices.
 
     For each prefix (p1, p2, p3, p4) the candidates for the fifth index
     share one exclusion set A; sorting the rest by distance from p4 turns
     the per-candidate exclusion products into one reversed cumulative
-    product.  Runs in O(n^5) plus the n^3 sorts, vectorized over (p4,
-    candidate) pairs.
+    product.  Runs in O(n^5) time.
+
+    The layout is blocked.  One n^3 bool table says which point comes after
+    which in the order from each point; the valid (p1, p2, p3) prefixes come
+    from it in lexicographic order, and the per-prefix body (probe distances,
+    exclusion masks, the sorted-frame suffix products and spreads over
+    every (p4, candidate) pair) runs on batches of ``_WITNESS_CHUNK``
+    prefixes as (batch, n, n) arrays.  Working memory is the n^3 bools plus
+    a few batch * n^2 floats.  Each prefix's term is added on its own, in
+    prefix order, so the batch size does not change the result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -182,54 +253,47 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp = 1.0 - pi
     dmat = distance_matrix(pts)
     ranks = lex_ranks(pts)
-    perm = np.empty((n, n), dtype=np.intp)
-    pos = np.empty((n, n), dtype=np.intp)
+    by_rank = np.argsort(ranks)
     ar = np.arange(n)
-    for b in range(n):
-        perm[b] = np.lexsort((ranks, dmat[b]))
-        pos[b, perm[b]] = ar
+    perm = _order_by_distance(dmat[:, by_rank], by_rank)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[ar[:, None], perm] = ar
     d_sorted = np.take_along_axis(dmat, perm, axis=1)
     omp_sorted = omp[perm]
     pi_sorted = pi[perm]
     self_pos = pos[ar, ar]
+    flat_perm = (ar[:, None] * n + perm).ravel()  # row-major flat index of perm
+    after = after_in_order(dmat[:, None, :], dmat[:, :, None], ranks, ranks[:, None])
     total = 0.0
-    for p1 in range(n):
-        c1 = ranks > ranks[p1]
-        for p2 in range(n):
-            if p2 == p1:
-                continue
-            e12 = c1 | after_in_order(dmat[p1], dmat[p1, p2], ranks, ranks[p2])
-            if e12[p1] or e12[p2]:
-                continue
-            # row p3: e12 plus the points after p3 in the order from p2
-            e3s = e12 | after_in_order(dmat[p2], dmat[p2, :, None], ranks, ranks[:, None])
-            ok3 = ~(e3s[:, p1] | e3s[:, p2] | e3s[ar, ar])
-            for p3 in np.flatnonzero(ok3):
-                e3 = e3s[p3]
-                span_a = dmat[p2, p3]
-                probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])
-                dpr = np.linalg.norm(pts - probe, axis=1)
-                # row = p4 choice, column = the point it may exclude
-                excl = e3[None, :] | after_in_order(dpr, dpr[:, None], ranks, ranks[:, None])
-                valid = ~(excl[:, p1] | excl[:, p2] | excl[:, p3] | e3)
-                if not valid.any():
-                    continue
-                left = np.where(excl, omp[None, :], 1.0).prod(axis=1)
-                left *= pi[p1] * pi[p2] * (1.0 if p3 in (p1, p2) else pi[p3])
-                left *= np.where((ar == p1) | (ar == p2) | (ar == p3), 1.0, pi)
-                excl_sorted = np.take_along_axis(excl, perm, axis=1)
-                cand = ~excl_sorted
-                cand[ar, self_pos] = False  # p4 itself is never the fifth point
-                suffix = _exclusive_suffix_product(np.where(cand, omp_sorted, 1.0))
-                cutoff = np.maximum(np.maximum(pos[:, p1], pos[:, p2]), pos[:, p3])
-                ok = cand & (ar[None, :] >= cutoff[:, None])
-                pic = np.where(ok, pi_sorted, 0.0)
-                for pk in (p1, p2, p3):
-                    cols = pos[:, pk]
-                    pic[ar, cols] = np.where(ok[ar, cols], 1.0, 0.0)
-                span = np.maximum(span_a, d_sorted)
-                rows = (pic * suffix * span).sum(axis=1)
-                total += float(np.dot(left * valid, rows))
+    for p1, p2, p3, e3 in _rechunk(_witness_triples(after, ranks), _WITNESS_CHUNK):
+        c = np.arange(len(p1))
+        span_a = dmat[p2, p3]
+        probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]
+        dpr = np.linalg.norm(pts[None, :, :] - probe[:, None, :], axis=2)
+        # [prefix, p4 choice, the point it may exclude]
+        excl = e3[:, None, :] | after_in_order(
+            dpr[:, None, :], dpr[:, :, None], ranks, ranks[:, None])
+        # a prefix with no valid p4 adds an exact 0.0 below
+        valid = ~(excl[c, :, p1] | excl[c, :, p2] | excl[c, :, p3] | e3)
+        in_prefix = (ar == p1[:, None]) | (ar == p2[:, None]) | (ar == p3[:, None])
+        left = np.where(excl, omp, 1.0).prod(axis=2)
+        left *= (pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3]))[:, None]
+        left *= np.where(in_prefix, 1.0, pi)
+        cand = ~excl.reshape(len(c), -1)[:, flat_perm].reshape(excl.shape)
+        cand[:, ar, self_pos] = False  # p4 itself is never the fifth point
+        suffix = _exclusive_suffix_product(np.where(cand, omp_sorted, 1.0))
+        cols = [pos[:, pk].T for pk in (p1, p2, p3)]
+        cutoff = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
+        ok = cand & (ar >= cutoff[:, :, None])
+        pic = np.where(ok, pi_sorted, 0.0)
+        rc, r4 = c[:, None], ar[None, :]
+        for col in cols:
+            pic[rc, r4, col] = np.where(ok[rc, r4, col], 1.0, 0.0)
+        span = np.maximum(span_a[:, None, None], d_sorted)
+        rows = (pic * suffix * span).sum(axis=2)
+        weights = left * valid
+        for k in c:
+            total += float(np.dot(weights[k], rows[k]))
     return total
 
 
@@ -240,25 +304,38 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     with the farthest point from it (distance ties go to the lex-larger
     partner).  Per realization that distance is within [diam/2, diam], so
     the expectation inherits the bracket.  O(n^2 log n).
+
+    Anchors are taken ``_TWO_APPROX_BLOCK`` rows at a time against the
+    partners after the block's first row, so working memory is O(block * n)
+    and no n x n table is built.  Each anchor's term is added on its own in
+    index order, as a dot product over a full-length row.
     """
     n = len(ds)
     pts, pi = ds.points, ds.probs
     omp = 1.0 - pi
     if n == 1:
         return 0.0
-    dmat = distance_matrix(pts)
     ranks = lex_ranks(pts)
-    ar = np.arange(n)
+    by_rank = np.argsort(ranks)
     pre = np.concatenate([[1.0], np.cumprod(omp)])  # pre[i] = P[no point below index i]
     total = 0.0
-    for i in range(n):
-        order = np.lexsort((ranks, dmat[i]))
-        pos = np.empty(n, dtype=np.intp)
-        pos[order] = ar
-        suffix = _exclusive_suffix_product(np.where(order > i, omp[order], 1.0))
-        pr = pi[i] * pre[i] * pi * suffix[pos]
-        pr[: i + 1] = 0.0  # the anchor is the smallest present index
-        total += float(np.dot(pr, dmat[i]))
+    for a in range(0, n - 1, _TWO_APPROX_BLOCK):
+        anchors = np.arange(a, min(a + _TWO_APPROX_BLOCK, n - 1))
+        cols = by_rank[by_rank > a]  # partners j > a, ascending lex rank
+        diff = pts[anchors, None, :] - pts[None, cols, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        order = _order_by_distance(dist, cols)
+        # only partners after the anchor count, as points or as exclusions
+        later = order > anchors[:, None]
+        suffix = _exclusive_suffix_product(np.where(later, omp[order], 1.0))
+        pr = np.zeros((len(anchors), n))
+        dist_rows = np.zeros((len(anchors), n))
+        rows = np.arange(len(anchors))[:, None]
+        pr[rows, order] = np.where(
+            later, (pi[anchors] * pre[anchors])[:, None] * pi[order] * suffix, 0.0)
+        dist_rows[:, cols] = dist
+        for k in range(len(anchors)):
+            total += float(np.dot(pr[k], dist_rows[k]))
     return total
 
 

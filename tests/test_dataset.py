@@ -232,12 +232,13 @@ def test_mask_oracle_matches_realization_walk(rng):
     # Coordinates are unit-scale. The walk gives a rank-deficient realization
     # width 0 by its rank test; the mask oracle gives it the rounding noise
     # of its extents (6e-17 on an all-collinear set), hence the abs floor.
+    # One face walk per case serves the face census and, summed, the complexity.
     for ds in _oracle_cases(rng):
+        faces = oracle_by_realization(ds, "faces")
         for stat in ORACLE_STATISTICS:
-            ref = oracle_by_realization(ds, stat)
+            ref = faces.sum() if stat == "complexity" else oracle_by_realization(ds, stat)
             assert oracle_expectation(ds, stat) == pytest.approx(ref, rel=1e-12, abs=1e-15)
-        ref = oracle_by_realization(ds, "faces")
-        assert oracle_face_expectations(ds) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert oracle_face_expectations(ds) == pytest.approx(faces, rel=1e-12, abs=1e-15)
 
 
 def test_mask_oracle_blocks_do_not_change_bits(rng, monkeypatch):

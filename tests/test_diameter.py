@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,7 @@ from schull import (
     enumerate_realizations,
     parse_graph,
 )
+import schull.diameter
 from schull.diameter import (
     _expected_diameter_witness_naive,
     double_simplex,
@@ -169,6 +171,77 @@ def test_two_approx_equals_enumeration(rng):
         assert expected_diameter_two_approx(ds) == pytest.approx(
             _two_approx_enumeration(ds), abs=1e-11
         )
+
+
+def _two_approx_per_row(ds):
+    """The 2-approximation one anchor row at a time over a full distance
+    table: the layout the blocked estimator replaced, kept as its bit-level
+    reference."""
+    from schull.geometry import distance_matrix, lex_ranks
+
+    def exclusive_suffix_product(w):
+        run = np.cumprod(w[..., ::-1], axis=-1)[..., ::-1]
+        return np.concatenate([run[..., 1:], np.ones(w.shape[:-1] + (1,))], axis=-1)
+
+    n = len(ds)
+    pts, pi = ds.points, ds.probs
+    omp = 1.0 - pi
+    if n == 1:
+        return 0.0
+    dmat = distance_matrix(pts)
+    ranks = lex_ranks(pts)
+    ar = np.arange(n)
+    pre = np.concatenate([[1.0], np.cumprod(omp)])  # pre[i] = P[no point below index i]
+    total = 0.0
+    for i in range(n):
+        order = np.lexsort((ranks, dmat[i]))
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = ar
+        suffix = exclusive_suffix_product(np.where(order > i, omp[order], 1.0))
+        pr = pi[i] * pre[i] * pi * suffix[pos]
+        pr[: i + 1] = 0.0  # the anchor is the smallest present index
+        total += float(np.dot(pr, dmat[i]))
+    return total
+
+
+def test_two_approx_blocks_match_per_row_reference(rng):
+    # Three full anchor blocks and a partial one; the blocked layout changes
+    # no product and no summation order, so the value is bit-identical.
+    n = 3 * schull.diameter._TWO_APPROX_BLOCK + 5
+    certain = random_dataset(rng, n, 2)
+    probs = certain.probs.copy()
+    probs[[40, n - 3]] = 1.0  # omp = 0 inside the suffix products
+    cases = [
+        random_dataset(rng, n, 2),
+        grid_dataset(rng, n, 2, side=11),  # exact distance ties
+        StochasticDataset(certain.points, probs),
+    ]
+    for ds in cases:
+        assert expected_diameter_two_approx(ds) == _two_approx_per_row(ds)
+
+
+def test_two_approx_builds_no_distance_table(rng):
+    # A full n x n table at n = 2000 traces about 160 MB; the blocked
+    # layout needs a few (block, n) arrays.
+    ds = random_dataset(rng, 2000, 2)
+    tracemalloc.start()
+    try:
+        expected_diameter_two_approx(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_witness_chunks_do_not_change_bits(rng, monkeypatch):
+    # Each prefix's term is added on its own in prefix order, so batches of
+    # one or five prefixes must reproduce the default batches exactly.
+    cases = [random_dataset(rng, 20, 2), random_dataset(rng, 19, 3),
+             grid_dataset(rng, 20, 3), grid_dataset(rng, 18, 2, side=5)]
+    full = [expected_diameter_witness(ds) for ds in cases]
+    for chunk in (1, 5):
+        monkeypatch.setattr(schull.diameter, "_WITNESS_CHUNK", chunk)
+        assert [expected_diameter_witness(ds) for ds in cases] == full
 
 
 def test_two_approx_brackets_oracle(rng):
