@@ -129,28 +129,31 @@ class _UsageError(Exception):
 
 
 def _run_estimator(ds: StochasticDataset, stat: str, method: str, args):
-    """Returns (value, bounds, seed_used)."""
+    """Returns (value, bounds, seed_used, extra report keys)."""
     if method == "oracle":
         v = oracle_expectation(ds, stat)
-        return v, (v, v), None
+        return v, (v, v), None, {}
     if stat == "diameter":
         if method == "witness":
             v = expected_diameter_witness(ds)
-            return v, (v, v * DIAMETER_WITNESS_FACTOR), None
+            return v, (v, v * DIAMETER_WITNESS_FACTOR), None, {}
         v = expected_diameter_two_approx(ds)
-        return v, (v, v * TWO_APPROX_FACTOR), None
+        return v, (v, v * TWO_APPROX_FACTOR), None, {}
     if stat == "width":
         if method == "witness":
             v = expected_width_witness(ds)
-            return v, (v, v / width_simplex_factor(ds.dim)), None
+            return v, (v, v / width_simplex_factor(ds.dim)), None, {}
         cfg = FprasConfig(epsilon=args.eps, seed=args.seed, gamma_override=args.gamma)
-        v = expected_width_fpras(ds, cfg)
-        return v, None, args.seed
+        stats: dict = {}
+        v = expected_width_fpras(ds, cfg, stats=stats)
+        return v, None, args.seed, stats
     v = expected_complexity(ds)
-    return v, (v, v), None
+    return v, (v, v), None, {}
 
 
-def _report(args, ds: StochasticDataset, raw: bytes, stat, method, value, bounds, seed):
+def _report(
+    args, ds: StochasticDataset, raw: bytes, stat, method, value, bounds, seed, extra
+):
     rep = {
         "schema": 1,
         "statistic": stat,
@@ -167,6 +170,7 @@ def _report(args, ds: StochasticDataset, raw: bytes, stat, method, value, bounds
             if method == "fpras"
             else None
         ),
+        **extra,
     }
     if args.format == "text":
         lines = [f"{k} = {rep[k]}" for k in sorted(rep)]
@@ -180,8 +184,8 @@ def _cmd_compute(args) -> int:
         raw = fh.read()
     ds = parse_dataset(raw)
     method = _resolve_method(args.stat, args.method)
-    value, bounds, seed = _run_estimator(ds, args.stat, method, args)
-    out = _report(args, ds, raw, args.stat, method, value, bounds, seed)
+    value, bounds, seed, extra = _run_estimator(ds, args.stat, method, args)
+    out = _report(args, ds, raw, args.stat, method, value, bounds, seed, extra)
     sys.stdout.write(out)
     if getattr(args, "timing", False):
         ms = (time.perf_counter() - t0) * 1000.0
@@ -196,7 +200,7 @@ def _cmd_verify(args) -> int:
         raise CapabilityError(
             f"verification enumerates realizations; needs n <= {MAX_ENUM_POINTS}"
         )
-    value, bounds, _ = _run_estimator(ds, args.stat, method, args)
+    value, bounds, _, _ = _run_estimator(ds, args.stat, method, args)
     truth = value if method == "oracle" else oracle_expectation(ds, args.stat)
     if bounds is None:
         # Sampling estimator: no deterministic bracket; report the gap only.

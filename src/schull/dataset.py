@@ -171,6 +171,16 @@ def _guard_enum(ds: StochasticDataset) -> None:
         )
 
 
+def _subset_probs(pi: np.ndarray) -> np.ndarray:
+    """Probability of every subset of independent points present with
+    probabilities pi, in ascending mask order (bit i = point i); the
+    factors are multiplied in point order."""
+    low = np.array([1.0])
+    for p in pi:
+        low = np.concatenate([low * (1.0 - p), low * p])
+    return low
+
+
 def _mask_blocks(ds: StochasticDataset, lo: int) -> Iterator[np.ndarray]:
     """Realization probabilities, one block per setting of mask bits lo..n-1.
 
@@ -180,9 +190,7 @@ def _mask_blocks(ds: StochasticDataset, lo: int) -> Iterator[np.ndarray]:
     """
     n = len(ds)
     pi = ds.probs
-    low = np.array([1.0])
-    for i in range(lo):
-        low = np.concatenate([low * (1.0 - pi[i]), low * pi[i]])
+    low = _subset_probs(pi[:lo])
     for h in range(1 << (n - lo)):
         p = low
         for i in range(lo, n):
@@ -265,26 +273,34 @@ def _diameter_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
         yield np.maximum(low, _max_table(cross, init))
 
 
+def _subset_widths(pts: np.ndarray, lo: int, high: np.ndarray) -> np.ndarray:
+    """Least extent of the points ``high`` plus each subset of the points
+    0..lo-1, in ascending mask order: the minimum over the candidate
+    directions of ``geometry._least_extent``, with the extents of all
+    subsets taken from ``_max_table``.  inf where no candidate direction
+    applies."""
+    rows = max(1, (1 << _BLOCK_BITS) >> lo)
+    width = np.full(1 << lo, np.inf)
+    for u in _candidate_directions(pts):
+        proj = u @ pts.T
+        top = proj[:, high].max(axis=1, initial=-np.inf)
+        neg_bottom = (-proj[:, high]).max(axis=1, initial=-np.inf)
+        for r in range(0, len(u), rows):
+            # max - min over each subset, as max + max of the negation
+            ext = _max_table(proj[r:r + rows, :lo], top[r:r + rows])
+            ext += _max_table(-proj[r:r + rows, :lo], neg_bottom[r:r + rows])
+            np.fmin(width, np.fmin.reduce(ext, axis=0), out=width)
+    return width
+
+
 def _width_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
-    """Width of every realization: the least extent over the candidate
-    directions of ``geometry._least_extent``, with the extents of all masks
-    taken from ``_max_table``.  Realizations of at most d points have
-    width 0."""
+    """Width of every realization, by ``_subset_widths`` over the low bits.
+    Realizations of at most d points have width 0."""
     n, d = pts.shape
-    rows = (1 << _BLOCK_BITS) >> lo
     counts = _bit_counts(lo)
     for h in range(1 << (n - lo)):
         high = _high_members(h, lo, n)
-        width = np.full(1 << lo, np.inf)
-        for u in _candidate_directions(pts):
-            proj = u @ pts.T
-            top = proj[:, high].max(axis=1, initial=-np.inf)
-            neg_bottom = (-proj[:, high]).max(axis=1, initial=-np.inf)
-            for r in range(0, len(u), rows):
-                # max - min over each realization, as max + max of the negation
-                ext = _max_table(proj[r:r + rows, :lo], top[r:r + rows])
-                ext += _max_table(-proj[r:r + rows, :lo], neg_bottom[r:r + rows])
-                np.fmin(width, np.fmin.reduce(ext, axis=0), out=width)
+        width = _subset_widths(pts, lo, high)
         # no candidate direction at all means every point is on one line
         width[(counts + len(high) <= d) | np.isinf(width)] = 0.0
         yield width

@@ -7,12 +7,17 @@ spanned so far (ties lex-largest), d+1 vertices in total.  The simplex's own
 width lower-bounds the realization's width and is within a factor of
 2 * 5^(d-1) of it, so summing prob * simplex width over all witness
 simplices brackets the expectation.  For an (eps)-accurate estimate the
-sampling estimator replaces each simplex's width by a Monte Carlo average of
-realization widths conditioned on that simplex being the witness.
+sampling estimator replaces each simplex's width by the expected realization
+width conditioned on that simplex being the witness: summed exactly when the
+cell has at most as many sub-realizations as samples, a Monte Carlo average
+otherwise.
 
-Every width here comes from one kernel, ``geometry._least_extent``: the
-witness estimator evaluates all simplices of a construction prefix in one
-call, and the sampling estimator all distinct sampled subsets of a cell.
+Every width here is the least extent over the candidate directions of
+``geometry._least_extent``: the witness estimator evaluates all simplices
+of a construction prefix in one call of it, and the sampling estimator all
+distinct sampled subsets of a cell.  A cell summed exactly takes the widths
+of all its sub-realizations from the enumeration oracle's doubling table,
+``dataset._subset_widths``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import StochasticDataset, _ordered_sum, rng_stream
+from .dataset import (
+    StochasticDataset,
+    _ordered_sum,
+    _subset_probs,
+    _subset_widths,
+    rng_stream,
+)
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import (
     EPS_GEO,
@@ -332,35 +343,50 @@ def _count_rows(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return present[first], counts
 
 
-def expected_width_fpras(ds: StochasticDataset, config: FprasConfig) -> float:
-    """Estimate the expected hull width by stratified sampling.
+def expected_width_fpras(
+    ds: StochasticDataset, config: FprasConfig, *, stats: dict | None = None
+) -> float:
+    """Estimate the expected hull width, cell by cell.
 
     The cells of ``witness_simplex_decomposition``, the same ones the
     witness estimator sums over, partition the full-dimensional
-    realizations; within each cell the width is sampled by drawing the
-    unconstrained points independently, so every cell estimate lands in
-    [simplex width, simplex width * 2 * 5^(d-1)] and concentrates.  With the
-    theoretical sample count the relative error is at most epsilon with
-    probability 1 - 1/n; deterministic given the seed.
+    realizations.  A cell whose free points F have 2^|F| <= m
+    sub-realizations, m the per-cell sample count, is summed exactly over
+    them, which costs fewer width evaluations than m draws and adds no
+    variance.  Any other cell samples the width by drawing its free points
+    independently, so its estimate lands in [simplex width, simplex width *
+    2 * 5^(d-1)] and concentrates.  With the theoretical sample count the
+    relative error is at most epsilon with probability 1 - 1/n;
+    deterministic given the seed.  If ``stats`` is given, its
+    ``"sampled_cells"`` entry is set to the number of sampled cells; 0 means
+    the result is the exact expectation.
     """
     n = len(ds)
     d = ds.dim
     gamma = fpras_gamma(d)  # also the dimension check
     if config.gamma_override is not None:
         gamma = config.gamma_override
-    if n < d + 1:
-        return 0.0
-    m = fpras_sample_count(n, config.epsilon, gamma)
-    pts, pi = ds.points, ds.probs
+    sampled = 0
     total = 0.0
-    for verts, prob, _excluded, free in witness_simplex_decomposition(ds):
-        base = tuple(sorted(verts))
-        rows = np.zeros((1, 0), dtype=bool)
-        if free:
+    if n >= d + 1:
+        m = fpras_sample_count(n, config.epsilon, gamma)
+        pts, pi = ds.points, ds.probs
+        for verts, prob, _excluded, free in witness_simplex_decomposition(ds):
+            base = tuple(sorted(verts))
+            k = len(free)
+            if 1 << k <= m:
+                # every sub-realization once: the simplex present, free[j] at bit j
+                simplex = np.arange(k, k + d + 1)
+                widths = _subset_widths(pts[list(free + base)], k, simplex)
+                total += prob * _ordered_sum(0.0, _subset_probs(pi[list(free)]), widths)
+                continue
+            sampled += 1
             rng = rng_stream(config.seed, *base)
-            rows, counts = _count_rows(rng.random((m, len(free))) < pi[list(free)])
-        # one row per distinct sample: the simplex present, the free points drawn
-        present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
-        widths = _least_extent(pts[list(base + free)], present)
-        total += prob * (_ordered_sum(0.0, counts, widths) / m if free else widths[0])
+            rows, hits = _count_rows(rng.random((m, k)) < pi[list(free)])
+            # one row per distinct sample: the simplex present, the free points drawn
+            present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
+            widths = _least_extent(pts[list(base + free)], present)
+            total += prob * (_ordered_sum(0.0, hits, widths) / m)
+    if stats is not None:
+        stats["sampled_cells"] = sampled
     return float(total)

@@ -88,17 +88,20 @@ def test_compute_default_methods(tmp_path, capsys):
 
 
 def test_compute_reports_byte_identical(tmp_path, capsys):
+    # gamma 0.1 gives 2 samples per cell, so every cell with a free point is
+    # sampled and the seed moves the value
     path = _gen(tmp_path)
     argv = [
         "compute", "--input", str(path), "--stat", "width", "--method", "fpras",
-        "--eps", "0.3", "--gamma", "5.0", "--seed", "11",
+        "--eps", "0.3", "--gamma", "0.1", "--seed", "11",
     ]
     assert main(argv) == 0
     first = capsys.readouterr().out
+    assert json.loads(first)["sampled_cells"] > 0
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert main(argv[:-1] + ["12"]) == 0
-    assert capsys.readouterr().out != first
+    assert json.loads(capsys.readouterr().out)["value"] != json.loads(first)["value"]
 
 
 def test_compute_dataset_hash_and_gamma_default(tmp_path, capsys):

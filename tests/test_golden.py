@@ -6,7 +6,8 @@ pair is unsupported) of every (stat, method) pair on two seeded datasets,
 ``golden_d3n6.json`` (``gen random --n 6 --dim 3 --seed 102``), with the
 sampling estimator at a fixed seed and gamma.  Every field must match
 exactly except ``value`` and ``bounds``, which must match to a relative
-1e-12.
+1e-12.  Every cell of both sampling runs is small enough to be summed
+exactly, so their values are the width oracle's.
 """
 
 import json
@@ -43,3 +44,18 @@ def test_compute_report_matches_golden(case, capsys):
         assert got["bounds"] is None
     else:
         assert got["bounds"] == pytest.approx(want["bounds"], rel=1e-12, abs=0.0)
+
+
+def test_fpras_goldens_are_exact():
+    oracle = {
+        case["dataset"]: case["report"]["value"]
+        for case in CASES
+        if case["args"][1::2] == ["width", "oracle"]
+    }
+    fpras = [case for case in CASES if case["args"][1:4:2] == ["width", "fpras"]]
+    assert len(fpras) == len(oracle) == 2
+    for case in fpras:
+        assert case["report"]["sampled_cells"] == 0
+        assert case["report"]["value"] == pytest.approx(
+            oracle[case["dataset"]], rel=1e-12, abs=0.0
+        )

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from schull import (
     oracle_expectation,
     width_simplex_factor,
 )
+from schull.dataset import rng_stream
 from schull.geometry import _least_extent, affine_rank, pointset_width
 from schull.width import (
     _count_rows,
@@ -292,13 +294,117 @@ def test_count_rows_matches_row_unique(k, m):
 
 
 def test_fpras_reproducible_and_seed_sensitive(rng):
+    # m = 13 samples per cell: the cells with 4 or more free points are sampled
     ds = random_dataset(rng, 8, 2)
-    cfg = FprasConfig(epsilon=0.2, seed=11, gamma_override=20.0)
-    a = expected_width_fpras(ds, cfg)
+    cfg = FprasConfig(epsilon=0.2, seed=11, gamma_override=0.25)
+    stats = {}
+    a = expected_width_fpras(ds, cfg, stats=stats)
+    assert stats["sampled_cells"] > 0
     b = expected_width_fpras(ds, cfg)
     assert a == b
-    c = expected_width_fpras(ds, FprasConfig(epsilon=0.2, seed=12, gamma_override=20.0))
+    c = expected_width_fpras(ds, FprasConfig(epsilon=0.2, seed=12, gamma_override=0.25))
     assert a != c  # different stream, almost surely different estimate
+
+
+def _fpras_reference(ds, cfg):
+    """The sampling estimator cell by cell, with independent width code.
+
+    A cell with 2^|free| <= m walks its sub-realizations; any other draws
+    its free points from the cell's stream and averages the m widths.
+    Returns (value, sampled cells).
+    """
+    pts, pi = ds.points, ds.probs
+    m = fpras_sample_count(len(ds), cfg.epsilon, cfg.gamma_override)
+    total, sampled = 0.0, 0
+    for verts, prob, _excluded, free in witness_simplex_decomposition(ds):
+        base, free = sorted(verts), np.array(free, dtype=int)
+        if 2 ** len(free) <= m:
+            rows = list(product((False, True), repeat=len(free)))
+            weights = [np.prod(np.where(row, pi[free], 1.0 - pi[free])) for row in rows]
+        else:
+            sampled += 1
+            rng = rng_stream(cfg.seed, *base)
+            rows = rng.random((m, len(free))) < pi[free]
+            weights = np.full(m, 1.0 / m)
+        widths = [pointset_width(pts[base + free[list(row)].tolist()]) for row in rows]
+        total += prob * float(np.dot(weights, widths))
+    return total, sampled
+
+
+def _gamma_for(n, epsilon, m):
+    """A sample coefficient that gives exactly m samples per cell."""
+    gamma = (m - 0.5) * epsilon * epsilon / math.log(n)
+    assert fpras_sample_count(n, epsilon, gamma) == m
+    return gamma
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (2, 10), (3, 6), (3, 8)])
+@pytest.mark.parametrize("grid", [False, True])
+def test_fpras_exact_cells_match_oracle(rng, d, n, grid):
+    # With the theoretical gamma every cell here has 2^|free| <= m: the
+    # estimate is the exact expectation, whatever the seed.
+    for _ in range(2):
+        ds = grid_dataset(rng, n, d, side=4) if grid else random_dataset(rng, n, d)
+        oracle = oracle_expectation(ds, "width")
+        for seed in (0, 1, 7):
+            stats = {}
+            v = expected_width_fpras(ds, FprasConfig(0.25, seed=seed), stats=stats)
+            assert stats["sampled_cells"] == 0
+            assert v == pytest.approx(oracle, rel=1e-12, abs=1e-15), (seed, v, oracle)
+
+
+@pytest.mark.parametrize("d, n, gamma, seeds", [(2, 12, 0.05, 12), (3, 9, 0.05, 6)])
+def test_fpras_mixed_cells_near_oracle(rng, d, n, gamma, seeds):
+    # m = 13 (d = 2) or 12 (d = 3) samples per cell, so the cells with four
+    # or more free points are sampled and the rest are summed exactly.
+    eps = 0.1
+    ds = random_dataset(rng, n, d)
+    oracle = oracle_expectation(ds, "width")
+    values = []
+    for seed in range(seeds):
+        stats = {}
+        values.append(
+            expected_width_fpras(
+                ds, FprasConfig(eps, seed=seed, gamma_override=gamma), stats=stats
+            )
+        )
+        assert stats["sampled_cells"] > 0
+    assert len(set(values)) == seeds
+    hits = sum(abs(v - oracle) <= eps * oracle for v in values)
+    assert hits >= 0.8 * seeds, (hits, values, oracle)
+
+
+@pytest.mark.parametrize("d, n", [(2, 9), (3, 7)])
+def test_fpras_matches_cell_reference(rng, d, n):
+    # Sampled cells draw the stream keyed by their sorted simplex, exact
+    # cells sum their sub-realizations, at m below, between and above the
+    # free-set sizes.
+    ds = random_dataset(rng, n, d)
+    for gamma in (0.01, 0.05, 0.2, 4.0):
+        cfg = FprasConfig(0.2, seed=3, gamma_override=gamma)
+        stats = {}
+        got = expected_width_fpras(ds, cfg, stats=stats)
+        want, sampled = _fpras_reference(ds, cfg)
+        assert stats["sampled_cells"] == sampled
+        assert got == pytest.approx(want, rel=1e-12), gamma
+
+
+def test_fpras_exact_up_to_sample_count(rng):
+    # A cell with 2^|free| = m is summed exactly; at m = 2^|free| - 1 it is
+    # sampled.
+    n, eps = 9, 0.2
+    ds = random_dataset(rng, n, 2)
+    sizes = [len(cell[3]) for cell in witness_simplex_decomposition(ds)]
+    k = max(sizes)
+    stats = {}
+    v = expected_width_fpras(
+        ds, FprasConfig(eps, seed=4, gamma_override=_gamma_for(n, eps, 2**k)), stats=stats
+    )
+    assert stats["sampled_cells"] == 0
+    assert v == pytest.approx(oracle_expectation(ds, "width"), rel=1e-12)
+    cfg = FprasConfig(eps, seed=4, gamma_override=_gamma_for(n, eps, 2**k - 1))
+    expected_width_fpras(ds, cfg, stats=stats)
+    assert stats["sampled_cells"] == sizes.count(k) > 0
 
 
 def test_fpras_close_to_oracle(rng):
