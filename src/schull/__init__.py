@@ -8,10 +8,10 @@ closed-form face and membership probabilities, the exact expected face
 counts and complexity for d = 2 and 3, and a brute-force enumeration oracle
 for small inputs that everything else is tested against.
 
-The root exports the estimators, the oracle and their inputs.  Reference
-routines and internal layers (hulls and widths of point sets, the witness
-constructions, the witness-simplex decomposition, seeded streams) are
-imported from their modules.
+The root exports the estimators, the oracle and their inputs.  Internal
+layers (flats and distances of point sets, the width kernel, the
+witness-simplex decomposition, seeded streams) are imported from their
+modules.
 """
 
 from .complexity import (
@@ -26,7 +26,6 @@ from .dataset import (
     ORACLE_STATISTICS,
     StochasticDataset,
     dataset_to_json,
-    enumerate_realizations,
     load_dataset,
     oracle_expectation,
     oracle_face_expectations,
@@ -73,7 +72,6 @@ __all__ = [
     "TWO_APPROX_FACTOR",
     "count_independent_sets",
     "dataset_to_json",
-    "enumerate_realizations",
     "expected_complexity",
     "expected_diameter_two_approx",
     "expected_diameter_witness",

@@ -198,24 +198,6 @@ def _mask_blocks(ds: StochasticDataset, lo: int) -> Iterator[np.ndarray]:
         yield p
 
 
-def enumerate_realizations(ds: StochasticDataset) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Yield every realization as (index tuple, probability), one at a time.
-
-    Realization ``mask`` holds point i iff bit i of mask is set; 2^n of them,
-    the empty one first.
-    """
-    _guard_enum(ds)
-    n = len(ds)
-    # Tabulate the members of the low half of the bits once; each
-    # realization is then one exact-size tuple concatenation.
-    lo = n // 2
-    low = [tuple(i for i in range(lo) if m >> i & 1) for m in range(1 << lo)]
-    for h, probs in enumerate(_mask_blocks(ds, lo)):
-        high = tuple(lo + i for i in range(n - lo) if h >> i & 1)
-        for members, prob in zip(low, probs.tolist()):
-            yield members + high, prob
-
-
 ORACLE_STATISTICS = ("diameter", "width", "complexity")
 
 # The mask oracle evaluates a statistic on all 2^n realizations as arrays,

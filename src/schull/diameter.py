@@ -14,81 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .dataset import StochasticDataset, decode_text, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import (
-    after_in_order,
-    as_points,
-    distance_matrix,
-    flat_through,
-    last_in_order,
-    lex_ranks,
-)
+from .geometry import after_in_order, distance_matrix, flat_through, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
 
 TWO_APPROX_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class WitnessSequence:
-    """Five anchor points (as indices) plus the derived probe point.
-
-    ``start`` is the lex-largest point, ``far1``/``far2`` the first two
-    greedy farthest picks, ``far3``/``far4`` the picks made from the probe
-    point.  ``spread`` is the larger of the two measured distances
-    dist(far1, far2) and dist(far3, far4).
-    """
-
-    start: int
-    far1: int
-    far2: int
-    far3: int
-    far4: int
-    probe: np.ndarray
-    spread: float
-
-    @property
-    def indices(self) -> tuple[int, int, int, int, int]:
-        return (self.start, self.far1, self.far2, self.far3, self.far4)
-
-
-def witness_sequence(points) -> WitnessSequence:
-    """Build the witness sequence of a point set.
-
-    The start is the lex-largest point; far1 is the farthest point from it
-    and far2 the farthest from far1.  The probe sits on the ray from far1
-    through the start, at half of dist(far1, far2); far3 is the farthest
-    point from the probe and far4 the farthest from far3.  All farthest
-    choices break distance ties by taking the lex-largest point.  A
-    singleton degenerates to five copies of its only point with spread 0.
-    """
-    pts = as_points(points)
-    m = len(pts)
-    if m == 0:
-        raise GeometryError("witness_sequence: empty point set")
-    ranks = lex_ranks(pts)
-    start = int(np.argmax(ranks))
-    if m == 1:
-        return WitnessSequence(start, start, start, start, start, pts[start].copy(), 0.0)
-
-    def far(q):
-        return last_in_order(np.linalg.norm(pts - q, axis=1), ranks)
-
-    far1 = far(pts[start])
-    far2 = far(pts[far1])
-    span_a = float(np.linalg.norm(pts[far2] - pts[far1]))
-    back = float(np.linalg.norm(pts[start] - pts[far1]))
-    probe = pts[far1] + (pts[start] - pts[far1]) * (0.5 * span_a / back)
-    far3 = far(probe)
-    far4 = far(pts[far3])
-    span_b = float(np.linalg.norm(pts[far4] - pts[far3]))
-    return WitnessSequence(start, far1, far2, far3, far4, probe, max(span_a, span_b))
 
 
 def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
@@ -103,66 +39,6 @@ def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
     # out[k - 1] = w[-1] * ... * w[k], multiplied from the far end
     np.cumprod(w[..., :0:-1], axis=-1, out=out[..., -2::-1])
     return out
-
-
-def witness_prob(ds: StochasticDataset, witness) -> float:
-    """Probability that a realization's witness sequence is exactly this one.
-
-    A realization produces the sequence (p1..p5) iff it contains all five points
-    and omits every point that would beat one of them in its defining
-    farthest-point contest.  If one of the five would itself be beaten the
-    event is impossible.  Five equal indices encode the singleton case.
-    """
-    if isinstance(witness, WitnessSequence):
-        idx = witness.indices
-    else:
-        idx = tuple(int(i) for i in witness)
-    if len(idx) != 5:
-        raise DatasetError("witness sequence needs exactly five indices")
-    n = len(ds)
-    if any(i < 0 or i >= n for i in idx):
-        raise DatasetError("witness index out of range")
-    pts, pi = ds.points, ds.probs
-    omp = 1.0 - pi
-    p1, p2, p3, p4, p5 = idx
-    if len(set(idx)) == 1:
-        others = np.arange(n) != p1
-        return float(pi[p1] * np.prod(omp[others]))
-    if p1 == p2:
-        return 0.0
-    ranks = lex_ranks(pts)
-    d_to = lambda i: np.linalg.norm(pts - pts[i], axis=1)  # noqa: E731
-    d1 = d_to(p1)
-    d2 = d_to(p2)
-    excl = ranks > ranks[p1]
-    excl |= after_in_order(d1, d1[p2], ranks, ranks[p2])
-    excl |= after_in_order(d2, d2[p3], ranks, ranks[p3])
-    probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * d2[p3] / d1[p2])
-    dpr = np.linalg.norm(pts - probe, axis=1)
-    excl |= after_in_order(dpr, dpr[p4], ranks, ranks[p4])
-    d4 = d_to(p4)
-    excl |= after_in_order(d4, d4[p5], ranks, ranks[p5])
-    if excl[list(idx)].any():
-        return 0.0
-    prob = float(np.prod(omp[excl]))
-    for i in set(idx):
-        prob *= float(pi[i])
-    return prob
-
-
-def _expected_diameter_witness_naive(ds: StochasticDataset) -> float:
-    """Sum witness_prob * spread over every five-index tuple.  O(n^6) test oracle."""
-    n = len(ds)
-    d = distance_matrix(ds.points)
-    total = 0.0
-    for idx in product(range(n), repeat=5):
-        if idx[0] == idx[1]:
-            continue  # zero probability or zero spread either way
-        span = max(d[idx[1], idx[2]], d[idx[3], idx[4]])
-        if span <= 0.0:
-            continue
-        total += witness_prob(ds, idx) * span
-    return total
 
 
 def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Everything downstream (estimators, enumeration oracles, the sweep) is built
 on the helpers in this module: the (distance, lex) order, in which the
 lexicographic point order breaks distance ties, distance tables,
-distance-to-flat computations, orthogonal-complement projections, small
-exact convex hull routines for dimensions 2 and 3, and the width kernel.
+distance-to-flat computations, orthogonal-complement projections and the
+width kernel.
 
 Ties and degeneracy are decided with a single absolute tolerance
 ``EPS_GEO``; inputs are expected to be desk-scale (coordinates up to ~1e3).
@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, GeometryError
+from .errors import GeometryError
 
 # Absolute tolerance for distance ties and degeneracy predicates.
 EPS_GEO = 1e-9
@@ -66,12 +66,6 @@ def after_in_order(dist, ref, ranks, ref_rank):
     """
     tie = np.abs(dist - ref) <= EPS_GEO
     return ((dist > ref) & ~tie) | (tie & (ranks > ref_rank))
-
-
-def last_in_order(dist, ranks) -> int:
-    """Index of the farthest point; distance ties go to the lex-largest."""
-    ties = np.flatnonzero(dist >= dist.max() - EPS_GEO)
-    return int(ties[np.argmax(ranks[ties])])
 
 
 def distance_matrix(pts: np.ndarray) -> np.ndarray:
@@ -153,282 +147,6 @@ def project_orthocomplement(points, spanning):
     images = pts @ comp if pts.size else np.zeros((len(pts), d - k))
     span_image = sp[0] @ comp
     return images, span_image
-
-
-def affine_rank(points) -> tuple[int, np.ndarray]:
-    """Affine dimension of a point set plus an orthonormal basis of its span.
-
-    Returns ``(rank, basis)`` with basis rows spanning the direction space of
-    the affine hull (shape (rank, d)).
-    """
-    pts = as_points(points)
-    m, d = pts.shape
-    if m <= 1:
-        return 0, np.zeros((0, d))
-    centered = pts - pts.mean(axis=0)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > EPS_GEO))
-    return rank, vt[:rank]
-
-
-@dataclass(frozen=True)
-class HullSummary:
-    """Face census of a convex hull in R^d (d in {2, 3}).
-
-    ``face_counts[k]`` counts the k-dimensional faces.  A hull of affine
-    dimension r < d contributes the faces of the r-dimensional hull plus the
-    hull itself (its dimension r is at most d-1), so a segment in the plane
-    reports [2, 1] and a planar polygon in space reports [h, h, 1].
-    """
-
-    dim_of_hull: int
-    face_counts: tuple[int, ...]
-    vertices: np.ndarray
-
-
-def _hull2d_indices(pts: np.ndarray) -> list[int]:
-    """Monotone-chain hull; returns vertex indices in CCW order.
-
-    Collinear boundary points are popped, so only strict corners survive.
-    Assumes affine rank 2.
-    """
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-
-    def cross(o, a, b):
-        return (pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1]) - (
-            pts[a][1] - pts[o][1]
-        ) * (pts[b][0] - pts[o][0])
-
-    def half(seq):
-        chain: list[int] = []
-        for i in seq:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], i) <= EPS_GEO:
-                chain.pop()
-            chain.append(int(i))
-        return chain
-
-    lower = half(order)
-    upper = half(order[::-1])
-    return lower[:-1] + upper[:-1]
-
-
-@dataclass
-class _Hull3D:
-    n_facets: int
-    facet_normals: np.ndarray  # (F, 3)
-    adjacency: list[tuple[int, int]]  # unordered merged-facet pairs sharing an edge
-    vertex_ids: list[int]  # point indices that are true corners
-
-
-def _build_hull3d(pts: np.ndarray) -> _Hull3D:
-    """Incremental 3-d hull with coplanar-facet merging.
-
-    Desk-scale, O(n^2)-ish; meant for oracle work on small inputs, not for
-    large point clouds.  Assumes affine rank 3.
-    """
-    m = len(pts)
-
-    # Seed tetrahedron: spread-out, deterministic choices.
-    i0 = int(np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))[0])
-    d0 = np.linalg.norm(pts - pts[i0], axis=1)
-    i1 = int(np.argmax(d0))
-    line = flat_through(pts[[i0, i1]])
-    d1 = dists_to_flat(pts, line)
-    i2 = int(np.argmax(d1))
-    plane = flat_through(pts[[i0, i1, i2]])
-    d2 = dists_to_flat(pts, plane)
-    i3 = int(np.argmax(d2))
-    if d2[i3] <= EPS_GEO:
-        raise GeometryError("hull3d: input not full-dimensional")
-    seed = [i0, i1, i2, i3]
-    interior = pts[seed].mean(axis=0)
-
-    def make_face(a: int, b: int, c: int):
-        n = np.cross(pts[b] - pts[a], pts[c] - pts[a])
-        norm = np.linalg.norm(n)
-        if norm <= EPS_GEO:
-            raise GeometryError("hull3d: degenerate face (near-collinear corners)")
-        n = n / norm
-        off = float(n @ pts[a])
-        if n @ interior - off > 0:
-            n, off = -n, -off
-            a, b = b, a
-        return (a, b, c), n, off
-
-    faces: list[tuple[tuple[int, int, int], np.ndarray, float]] = []
-    for tri in ((i0, i1, i2), (i0, i1, i3), (i0, i2, i3), (i1, i2, i3)):
-        faces.append(make_face(*tri))
-
-    rest = [i for i in range(m) if i not in seed]
-    for p in rest:
-        vis = [fi for fi, (_, n, off) in enumerate(faces) if n @ pts[p] - off > -EPS_GEO]
-        if not vis:
-            continue  # inside the current hull
-        # Horizon: edges of the visible region that are not interior to it.
-        edge_count: dict[tuple[int, int], int] = {}
-        for fi in vis:
-            tri = faces[fi][0]
-            for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(e), max(e))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        horizon = [e for e, c in edge_count.items() if c == 1]
-        keep = [f for fi, f in enumerate(faces) if fi not in set(vis)]
-        for a, b in horizon:
-            keep.append(make_face(a, b, p))
-        faces = keep
-
-    triangles = [f[0] for f in faces]
-    normals = np.array([f[1] for f in faces])
-    offsets = np.array([f[2] for f in faces])
-
-    # Merge coplanar adjacent triangles into facets (union-find).
-    nf = len(faces)
-    parent = list(range(nf))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, tri in enumerate(triangles):
-        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edge_faces.setdefault((min(e), max(e)), []).append(fi)
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise GeometryError("hull3d: non-manifold edge (degenerate input)")
-        fa, fb = fs
-        # Coplanar iff every corner of one lies on the other's plane.
-        if np.all(np.abs(normals[fa] @ pts[list(triangles[fb])].T - offsets[fa]) <= EPS_GEO):
-            ra, rb = find(fa), find(fb)
-            if ra != rb:
-                parent[ra] = rb
-
-    comp_ids: dict[int, int] = {}
-    comp_of = []
-    for fi in range(nf):
-        r = find(fi)
-        comp_ids.setdefault(r, len(comp_ids))
-        comp_of.append(comp_ids[r])
-    n_facets = len(comp_ids)
-    facet_normals = np.zeros((n_facets, 3))
-    for fi in range(nf):
-        facet_normals[comp_of[fi]] = normals[fi]
-
-    adjacency = set()
-    for e, (fa, fb) in edge_faces.items():
-        ca, cb = comp_of[fa], comp_of[fb]
-        if ca != cb:
-            adjacency.add((min(ca, cb), max(ca, cb)))
-
-    comps_at_point: dict[int, set[int]] = {}
-    for fi, tri in enumerate(triangles):
-        for v in tri:
-            comps_at_point.setdefault(v, set()).add(comp_of[fi])
-    vertex_ids = sorted(v for v, comps in comps_at_point.items() if len(comps) >= 3)
-
-    v, e, f = len(vertex_ids), len(adjacency), n_facets
-    if v - e + f != 2:
-        raise GeometryError(f"hull3d: Euler check failed (V={v}, E={e}, F={f})")
-
-    return _Hull3D(n_facets=n_facets, facet_normals=facet_normals,
-                   adjacency=sorted(adjacency), vertex_ids=vertex_ids)
-
-
-def _full_rank_hull_census(coords: np.ndarray) -> tuple[list[int], list[int]]:
-    """Face counts and vertex indices for a full-rank point set in R^k, k<=3."""
-    k = coords.shape[1]
-    if k == 1:
-        imin = int(np.argmin(coords[:, 0]))
-        imax = int(np.argmax(coords[:, 0]))
-        return [2], [imin, imax]
-    if k == 2:
-        idx = _hull2d_indices(coords)
-        return [len(idx), len(idx)], idx
-    hull = _build_hull3d(coords)
-    return (
-        [len(hull.vertex_ids), len(hull.adjacency), hull.n_facets],
-        hull.vertex_ids,
-    )
-
-
-def convex_hull(points) -> HullSummary:
-    """Face census of the convex hull of a point set in R^2 or R^3."""
-    pts = as_points(points)
-    m, d = pts.shape
-    if d not in HULL_DIMS:
-        raise CapabilityError(f"convex_hull supports d in {HULL_DIMS}, got d={d}")
-    if m == 0:
-        return HullSummary(-1, tuple([0] * d), pts.copy())
-    rank, basis = affine_rank(pts)
-    if rank == 0:
-        counts = [1] + [0] * (d - 1)
-        return HullSummary(0, tuple(counts), pts[:1].copy())
-    if rank == d:
-        counts, vid = _full_rank_hull_census(pts)
-        return HullSummary(d, tuple(counts), pts[vid].copy())
-    # Degenerate hull: census the lower-dimensional hull in its own
-    # coordinates, then count the hull itself as one rank-dimensional face.
-    coords = (pts - pts.mean(axis=0)) @ basis.T
-    counts, vid = _full_rank_hull_census(coords)
-    counts = counts + [1]
-    counts += [0] * (d - len(counts))
-    return HullSummary(rank, tuple(counts), pts[vid].copy())
-
-
-def _width_candidates_2d(pts: np.ndarray) -> np.ndarray:
-    idx = _hull2d_indices(pts)
-    h = len(idx)
-    dirs = []
-    for t in range(h):
-        a, b = pts[idx[t]], pts[idx[(t + 1) % h]]
-        e = b - a
-        n = np.array([-e[1], e[0]])
-        norm = np.linalg.norm(n)
-        if norm > EPS_GEO:
-            dirs.append(n / norm)
-    return np.array(dirs)
-
-
-def _width_candidates_3d(pts: np.ndarray) -> np.ndarray:
-    hull = _build_hull3d(pts)
-    dirs = [hull.facet_normals[c] for c in range(hull.n_facets)]
-    edge_dirs = []
-    for ca, cb in hull.adjacency:
-        e = np.cross(hull.facet_normals[ca], hull.facet_normals[cb])
-        norm = np.linalg.norm(e)
-        if norm > EPS_GEO:
-            edge_dirs.append(e / norm)
-    for a in range(len(edge_dirs)):
-        for b in range(a + 1, len(edge_dirs)):
-            n = np.cross(edge_dirs[a], edge_dirs[b])
-            norm = np.linalg.norm(n)
-            if norm > EPS_GEO:
-                dirs.append(n / norm)
-    return np.array(dirs)
-
-
-def pointset_width(points) -> float:
-    """Minimum slab width of a point set in R^2 or R^3, from its hull.
-
-    The optimal direction of a convex body is normal to a hull edge (d=2) or
-    realized by a facet normal / a cross product of two hull edge directions
-    (d=3), so minimizing the directional extent over those candidates is
-    exact.  Point sets of affine rank < d have width 0.  The library uses
-    ``_least_extent``; this routine is its independent hull-based reference.
-    """
-    pts = as_points(points)
-    m, d = pts.shape
-    if d not in HULL_DIMS:
-        raise CapabilityError(f"pointset_width supports d in {HULL_DIMS}, got d={d}")
-    if m == 0:
-        raise GeometryError("pointset_width: empty point set")
-    if affine_rank(pts)[0] < d:
-        return 0.0
-    dirs = _width_candidates_2d(pts) if d == 2 else _width_candidates_3d(pts)
-    proj = pts @ dirs.T
-    return float((proj.max(axis=0) - proj.min(axis=0)).min())
 
 
 _EXTENT_CHUNK = 1 << 14  # most values per point set in a width-kernel array

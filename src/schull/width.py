@@ -42,10 +42,8 @@ from .geometry import (
     HULL_DIMS,
     _least_extent,
     after_in_order,
-    as_points,
     dists_to_flat,
     flat_through,
-    last_in_order,
     lex_ranks,
 )
 
@@ -55,74 +53,6 @@ def width_simplex_factor(d: int) -> float:
     if d < 1:
         raise CapabilityError("dimension must be positive")
     return 0.5 * 5.0 ** (-(d - 1))
-
-
-def _greedy_vertex_list(pts, cand, ranks) -> list[int] | None:
-    """Construction order over the candidate indices, or None if degenerate.
-
-    First the lex-largest candidate, then d times the candidate farthest
-    from the flat of the points chosen so far, distance ties (within
-    EPS_GEO) resolved lex-largest.
-    """
-    d = pts.shape[1]
-    if len(cand) < d + 1:
-        return None
-    first = cand[int(np.argmax(ranks[cand]))]
-    chosen = [int(first)]
-    for _ in range(d):
-        flat = flat_through(pts[chosen])
-        dist = dists_to_flat(pts[cand], flat)
-        if dist.max() <= EPS_GEO:
-            return None
-        chosen.append(int(cand[last_in_order(dist, ranks[cand])]))
-    return chosen
-
-
-def witness_simplex(points) -> tuple[int, ...]:
-    """Witness simplex of a full-dimensional point set, as indices into it
-    in construction order."""
-    pts = as_points(points)
-    cand = np.arange(len(pts))
-    ranks = lex_ranks(pts)
-    chosen = _greedy_vertex_list(pts, cand, ranks)
-    if chosen is None:
-        raise GeometryError("witness_simplex: point set is not full-dimensional")
-    return tuple(chosen)
-
-
-def recover_vertex_list(points, vertices) -> tuple[int, ...] | None:
-    """Reconstruct the construction order of a vertex set, if it has one.
-
-    Runs the greedy construction restricted to the given d+1 indices.  A
-    vertex set is a possible witness simplex only when the greedy picks
-    exactly these vertices; degenerate sets return None.
-    """
-    pts = as_points(points)
-    vs = np.asarray(sorted(int(v) for v in vertices), dtype=np.intp)
-    d = pts.shape[1]
-    if len(vs) != d + 1 or len(set(vs.tolist())) != d + 1:
-        raise DatasetError(f"vertex set must contain {d + 1} distinct indices")
-    ranks = lex_ranks(pts)
-    chosen = _greedy_vertex_list(pts, vs, ranks)
-    return None if chosen is None else tuple(chosen)
-
-
-def simplex_width(points) -> float:
-    """Width of a nondegenerate d-simplex, d in {2, 3}.
-
-    One call of the width kernel: the least extent over the simplex's
-    candidate directions.  A simplex of width at most EPS_GEO is degenerate.
-    """
-    pts = as_points(points)
-    m, d = pts.shape
-    if d not in HULL_DIMS:
-        raise CapabilityError(f"simplex_width supports dimensions {HULL_DIMS}")
-    if m != d + 1:
-        raise GeometryError(f"a {d}-simplex needs {d + 1} vertices, got {m}")
-    width = float(_least_extent(pts))
-    if width <= EPS_GEO:
-        raise GeometryError("simplex_width: degenerate simplex")
-    return width
 
 
 def _prefix_flats(pts, order) -> list:
@@ -142,29 +72,6 @@ def _beaten(pts, ranks, order, flats) -> np.ndarray:
         dist = dists_to_flat(pts, flat)
         excl |= after_in_order(dist, dist[v], ranks, ranks[v])
     return excl
-
-
-def witness_simplex_prob(ds: StochasticDataset, simplex) -> float:
-    """Probability that a realization's witness simplex is exactly this one."""
-    verts = tuple(simplex)
-    d = ds.dim
-    if len(verts) != d + 1:
-        raise DatasetError(f"witness simplex needs {d + 1} vertices")
-    n = len(ds)
-    if any(v < 0 or v >= n for v in verts):
-        raise DatasetError("witness simplex index out of range")
-    rec = recover_vertex_list(ds.points, verts)
-    if rec is None or rec != tuple(int(v) for v in verts):
-        return 0.0
-    # The simplex is the witness iff all d+1 vertices are present and no
-    # present point beats any construction step: nothing lex-larger than the
-    # first vertex, and nothing farther (ties lex-larger) from each prefix
-    # flat than the vertex chosen there.
-    pts, pi = ds.points, ds.probs
-    excl = _beaten(pts, lex_ranks(pts), rec, _prefix_flats(pts, rec[:-1]))
-    if excl[list(rec)].any():
-        return 0.0
-    return float(np.prod(pi[list(rec)]) * np.prod((1.0 - pi)[excl]))
 
 
 def _witness_groups(ds: StochasticDataset):
@@ -238,18 +145,6 @@ def witness_simplex_decomposition(
                     tuple(np.flatnonzero(ex).tolist()),
                     tuple(np.flatnonzero(fr).tolist()),
                 )
-
-
-def _expected_width_witness_naive(ds: StochasticDataset) -> float:
-    """Sum prob * simplex width over ordered vertex tuples.  Test oracle."""
-    n = len(ds)
-    d = ds.dim
-    total = 0.0
-    for order in permutations(range(n), d + 1):
-        p = witness_simplex_prob(ds, order)
-        if p > 0.0:
-            total += p * simplex_width(ds.points[list(order)])
-    return total
 
 
 def expected_width_witness(ds: StochasticDataset) -> float:

@@ -10,14 +10,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from schull import StochasticDataset, enumerate_realizations
+from schull import StochasticDataset
 from schull.complexity import _sweep_groups
-from schull.geometry import (
-    convex_hull,
-    distance_matrix,
-    pointset_width,
-    project_orthocomplement,
-)
+from schull.geometry import project_orthocomplement
+
+from reference import expectation_by_realization
 
 
 def random_points(rng, n, d, scale=1.0):
@@ -42,29 +39,6 @@ def rng():
     return np.random.default_rng(20260817)
 
 
-def oracle_by_realization(ds, statistic):
-    """Enumeration oracle walked one realization at a time.
-
-    ``statistic`` is "diameter", "width", "complexity" or "faces" (the
-    expected face count per dimension, as ``oracle_face_expectations``).
-    Each realization's value comes from a distance table, ``pointset_width``
-    or a ``convex_hull`` census, independently of the library's mask oracle.
-    """
-    pts = ds.points
-    dmat = distance_matrix(pts)
-    total = np.zeros(ds.dim) if statistic == "faces" else 0.0
-    for idx, pr in enumerate_realizations(ds):
-        if statistic == "diameter" and len(idx) >= 2:
-            total += pr * dmat[np.ix_(idx, idx)].max()
-        elif statistic == "width" and len(idx) >= ds.dim + 1:
-            total += pr * pointset_width(pts[list(idx)])
-        elif statistic == "complexity" and idx:
-            total += pr * sum(convex_hull(pts[list(idx)]).face_counts)
-        elif statistic == "faces" and idx:
-            total += pr * np.array(convex_hull(pts[list(idx)]).face_counts)
-    return total
-
-
 def in_hull_1d(q, xs):
     if len(xs) == 0:
         return False
@@ -83,11 +57,7 @@ def in_hull_2d(q, pts):
 
 
 def membership_enumeration(ds, q, inside):
-    total = 0.0
-    for idx, pr in enumerate_realizations(ds):
-        if inside(q, ds.points[list(idx)]):
-            total += pr
-    return total
+    return expectation_by_realization(ds, lambda idx: float(inside(q, ds.points[idx])))
 
 
 def face_prob_enumeration(ds, verts):
@@ -111,21 +81,19 @@ def face_prob_enumeration(ds, verts):
             images, q = pts[rest], pts[verts[0]]
         else:
             images, q = project_orthocomplement(pts[rest], pts[list(verts)])
-    total = 0.0
-    for idx, pr in enumerate_realizations(ds):
+
+    def is_face(idx):
         if any(v not in idx for v in verts):
-            continue
+            return False
         my = [j for j, r in enumerate(rest) if r in idx]
         if side is not None:
             s = set(side[my])
-            ok = not (1.0 in s and -1.0 in s)
-        elif ds.dim - k == 1:
-            ok = not in_hull_1d(q[0], images[my][:, 0])
-        else:
-            ok = not in_hull_2d(q, images[my])
-        if ok:
-            total += pr
-    return total
+            return not (1.0 in s and -1.0 in s)
+        if ds.dim - k == 1:
+            return not in_hull_1d(q[0], images[my][:, 0])
+        return not in_hull_2d(q, images[my])
+
+    return expectation_by_realization(ds, lambda idx: float(is_face(idx)))
 
 
 def brute_hyperplane_stats(ds):

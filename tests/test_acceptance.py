@@ -17,7 +17,6 @@ import pytest
 
 from schull import (
     FprasConfig,
-    enumerate_realizations,
     expected_complexity,
     expected_diameter_two_approx,
     expected_diameter_witness,
@@ -36,9 +35,7 @@ from schull import (
     width_simplex_factor,
 )
 from schull.cli import main as cli_main
-from schull.diameter import _expected_diameter_witness_naive, witness_sequence
-from schull.geometry import affine_rank, distance_matrix, pointset_width
-from schull.width import simplex_width, witness_simplex
+from schull.geometry import distance_matrix
 
 from conftest import (
     brute_hyperplane_stats,
@@ -49,6 +46,16 @@ from conftest import (
     random_dataset,
     random_points,
     sweep_stats,
+)
+from reference import (
+    affine_rank,
+    expected_diameter_witness_naive,
+    pointset_width,
+    simplex_width,
+    witness_sequence,
+    witness_simplex,
+    witness_spread_by_realization,
+    witness_width_by_realization,
 )
 
 TOL = 1e-9
@@ -63,25 +70,6 @@ def _full_rank_points(rng, n, d):
         pts = random_points(rng, n, d)
         if affine_rank(pts)[0] == d:
             return pts
-
-
-def _diameter_witness_enumeration(ds):
-    total = 0.0
-    for idx, pr in enumerate_realizations(ds):
-        if len(idx) >= 2:
-            total += pr * witness_sequence(ds.points[list(idx)]).spread
-    return total
-
-
-def _width_witness_enumeration(ds):
-    d = ds.dim
-    total = 0.0
-    for idx, pr in enumerate_realizations(ds):
-        sub = ds.points[list(idx)]
-        if len(idx) <= d or affine_rank(sub)[0] < d:
-            continue
-        total += pr * simplex_width(sub[list(witness_simplex(sub))])
-    return total
 
 
 def test_criterion_01_witness_bracket_500_pointsets():
@@ -117,7 +105,7 @@ def test_criterion_02_expected_diameter_matches_enumeration():
     worst_gap = 0.0
     for ds in _criterion_2_3_datasets():
         v = expected_diameter_witness(ds)
-        enum = _diameter_witness_enumeration(ds)
+        enum = witness_spread_by_realization(ds)
         assert abs(v - enum) <= TOL, (len(ds), ds.dim, v, enum)
         worst_gap = max(worst_gap, abs(v - enum))
         oracle = oracle_expectation(ds, "diameter")
@@ -142,7 +130,7 @@ def test_criterion_04_grouped_diameter_performance_and_equality():
     assert dt < 60.0, f"n=40 run took {dt:.2f} s"
     small = random_dataset(rng, 8, 2)
     grouped = expected_diameter_witness(small)
-    naive = _expected_diameter_witness_naive(small)
+    naive = expected_diameter_witness_naive(small)
     assert abs(grouped - naive) <= 1e-12, (grouped, naive)
     _verdict(4, f"n=40 d=2 in {dt:.2f} s; grouped == naive at n=8 "
                 f"(gap {abs(grouped - naive):.1e})")
@@ -187,7 +175,7 @@ def test_criterion_07_expected_width_matches_enumeration():
         n = int(rng.integers(d + 1, 11 if d == 2 else 10))
         ds = random_dataset(rng, n, d)
         v = expected_width_witness(ds)
-        enum = _width_witness_enumeration(ds)
+        enum = witness_width_by_realization(ds)
         assert abs(v - enum) <= TOL, (n, d, v, enum)
         worst_gap = max(worst_gap, abs(v - enum))
         oracle = oracle_expectation(ds, "width")

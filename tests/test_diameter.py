@@ -18,19 +18,19 @@ from schull import (
     hardness_identity_check,
     hardness_instance,
     oracle_expectation,
-    enumerate_realizations,
     parse_graph,
 )
 import schull.diameter
-from schull.diameter import (
-    _expected_diameter_witness_naive,
-    double_simplex,
-    regular_simplex,
-    witness_prob,
-    witness_sequence,
-)
+from schull.diameter import double_simplex, regular_simplex
 
 from conftest import grid_dataset, random_dataset, random_points
+from reference import (
+    expectation_by_realization,
+    expected_diameter_witness_naive,
+    witness_prob,
+    witness_sequence,
+    witness_spread_by_realization,
+)
 
 
 def test_factor_value():
@@ -104,18 +104,15 @@ def test_grouped_equals_naive(rng):
     cases += [grid_dataset(rng, n, d) for n, d in [(5, 2), (6, 2), (6, 3)]]
     for ds in cases:
         g = expected_diameter_witness(ds)
-        nv = _expected_diameter_witness_naive(ds)
+        nv = expected_diameter_witness_naive(ds)
         assert g == pytest.approx(nv, abs=1e-12)
 
 
 def test_witness_expectation_equals_enumeration(rng):
     for n, d in [(6, 2), (7, 2), (6, 3)]:
         ds = random_dataset(rng, n, d)
-        expect = 0.0
-        for idx, pr in enumerate_realizations(ds):
-            if len(idx) >= 2:
-                expect += pr * witness_sequence(ds.points[list(idx)]).spread
-        assert expected_diameter_witness(ds) == pytest.approx(expect, abs=1e-9)
+        assert expected_diameter_witness(ds) == pytest.approx(
+            witness_spread_by_realization(ds), abs=1e-9)
 
 
 def test_witness_expectation_brackets_oracle(rng):
@@ -142,17 +139,18 @@ def _two_approx_enumeration(ds):
 
     pts = ds.points
     ranks = lex_ranks(pts)
-    total = 0.0
-    for idx, pr in enumerate_realizations(ds):
+
+    def critical_distance(idx):
         if len(idx) < 2:
-            continue
+            return 0.0
         anchor = idx[0]  # smallest index present
         dists = [np.linalg.norm(pts[j] - pts[anchor]) for j in idx]
         best = max(dists)
         cands = [j for j, dj in zip(idx, dists) if dj >= best - 1e-9]
         partner = max(cands, key=lambda j: ranks[j])
-        total += pr * np.linalg.norm(pts[partner] - pts[anchor])
-    return total
+        return np.linalg.norm(pts[partner] - pts[anchor])
+
+    return expectation_by_realization(ds, critical_distance)
 
 
 def test_two_approx_simple_cases():

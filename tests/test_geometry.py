@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 from schull import CapabilityError, GeometryError
 from schull.geometry import (
     EPS_GEO,
-    affine_rank,
-    convex_hull,
     distance_matrix,
     dists_to_flat,
     flat_through,
     lex_ranks,
-    pointset_width,
     project_orthocomplement,
 )
 
 from conftest import random_points
+from reference import affine_rank, convex_hull, pointset_width
 
 
 def test_lex_ranks_match_pairwise_order(rng):

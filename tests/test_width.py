@@ -11,7 +11,6 @@ from schull import (
     FprasConfig,
     GeometryError,
     StochasticDataset,
-    enumerate_realizations,
     expected_width_fpras,
     expected_width_witness,
     fpras_gamma,
@@ -20,18 +19,22 @@ from schull import (
     width_simplex_factor,
 )
 from schull.dataset import rng_stream
-from schull.geometry import _least_extent, affine_rank, pointset_width
-from schull.width import (
-    _count_rows,
-    _expected_width_witness_naive,
+from schull.geometry import _least_extent
+from schull.width import _count_rows, witness_simplex_decomposition
+
+from conftest import grid_dataset, random_dataset, random_points
+from reference import (
+    affine_rank,
+    enumerate_realizations,
+    expectation_by_realization,
+    expected_width_witness_naive,
+    pointset_width,
     recover_vertex_list,
     simplex_width,
     witness_simplex,
-    witness_simplex_decomposition,
     witness_simplex_prob,
+    witness_width_by_realization,
 )
-
-from conftest import grid_dataset, random_dataset, random_points
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -149,10 +152,8 @@ def test_decomposition_mass_is_full_rank_probability(rng):
     for ds in cases:
         d = ds.dim
         mass = sum(p for _, p, _, _ in witness_simplex_decomposition(ds))
-        expect = 0.0
-        for idx, pr in enumerate_realizations(ds):
-            if len(idx) > d and affine_rank(ds.points[list(idx)])[0] == d:
-                expect += pr
+        expect = expectation_by_realization(
+            ds, lambda idx: float(affine_rank(ds.points[idx])[0] == d))
         assert mass == pytest.approx(expect, abs=1e-11)
 
 
@@ -179,7 +180,7 @@ def test_decomposition_partitions_realizations(rng):
         for idx, _pr in enumerate_realizations(ds):
             idx = list(idx)
             sub = ds.points[idx]
-            if len(idx) <= d or affine_rank(sub)[0] < d:
+            if affine_rank(sub)[0] < d:
                 continue
             full_rank += 1
             present = set(idx)
@@ -199,7 +200,7 @@ def test_grouped_equals_naive(rng):
     cases += [grid_dataset(rng, n, d) for n, d in [(6, 2), (7, 2), (6, 3), (7, 3)]]
     for ds in cases:
         assert expected_width_witness(ds) == pytest.approx(
-            _expected_width_witness_naive(ds), abs=1e-12
+            expected_width_witness_naive(ds), abs=1e-12
         )
 
 
@@ -219,12 +220,8 @@ def test_mask_candidates_recover_to_their_order(rng):
 def test_width_witness_equals_enumeration(rng):
     for n, d in [(7, 2), (6, 3)]:
         ds = random_dataset(rng, n, d)
-        expect = 0.0
-        for idx, pr in enumerate_realizations(ds):
-            sub = ds.points[list(idx)]
-            if len(idx) > d and affine_rank(sub)[0] == d:
-                expect += pr * simplex_width(sub[list(witness_simplex(sub))])
-        assert expected_width_witness(ds) == pytest.approx(expect, abs=1e-9)
+        assert expected_width_witness(ds) == pytest.approx(
+            witness_width_by_realization(ds), abs=1e-9)
 
 
 def test_width_witness_brackets_oracle(rng):
