@@ -6,11 +6,13 @@ the lex-largest point and repeatedly take the point farthest from the flat
 spanned so far (ties lex-largest), d+1 vertices in total.  The simplex's own
 width lower-bounds the realization's width and is within a factor of
 2 * 5^(d-1) of it, so summing prob * simplex width over all witness
-simplices brackets the expectation.  For an (eps)-accurate estimate the
-sampling estimator replaces each simplex's width by the expected realization
-width conditioned on that simplex being the witness: summed exactly when the
-cell has at most as many sub-realizations as samples, a Monte Carlo average
-otherwise.
+simplices brackets the expectation.  The simplices are found the way the
+construction builds them: each prefix grows one vertex at a time and stops
+at its first degenerate flat or at the first step that beats a prefix
+vertex.  For an (eps)-accurate estimate the sampling estimator replaces
+each simplex's width by the expected realization width conditioned on that
+simplex being the witness: summed exactly when the cell has at most as many
+sub-realizations as samples, a Monte Carlo average otherwise.
 
 Every width here is the least extent over the candidate directions of
 ``geometry._least_extent``: the witness estimator evaluates all simplices
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator
 
 import numpy as np
@@ -55,69 +56,60 @@ def width_simplex_factor(d: int) -> float:
     return 0.5 * 5.0 ** (-(d - 1))
 
 
-def _prefix_flats(pts, order) -> list:
-    """Flats through order[:1], order[:2], ..., order[:len(order)]."""
-    return [flat_through(pts[list(order[: i + 1])]) for i in range(len(order))]
-
-
-def _beaten(pts, ranks, order, flats) -> np.ndarray:
-    """Mask of points that beat a step of the construction order.
-
-    A point beats the first vertex when it is lex-larger, and beats
-    order[i + 1] when it comes after it in the (distance to flats[i], lex)
-    order; only the steps that have a flat are checked.
-    """
-    excl = ranks > ranks[order[0]]
-    for flat, v in zip(flats, order[1:]):
-        dist = dists_to_flat(pts, flat)
-        excl |= after_in_order(dist, dist[v], ranks, ranks[v])
-    return excl
-
-
 def _witness_groups(ds: StochasticDataset):
     """The decomposition's cells one construction prefix at a time.
 
     Yields ``(prefix, last, probs, excluded)``: the first d vertices, the
     array of last vertices, their cells' probabilities and the
-    (len(last), n) mask of the points each cell forces absent.
+    (len(last), n) mask of the points each cell forces absent, prefixes in
+    ascending lexicographic order.
 
-    Fixing the first d vertices fixes the exclusion conditions of every
-    step but the last, so one product of absence probabilities serves
-    every last vertex; each adds the points after it in the (distance to
-    the prefix flat, lex) order.  The last vertices are the points off the
-    prefix flat that beat no step: each is at most a tie with every earlier
-    vertex and then lex-smaller, so it recovers to the prefix plus itself.
+    Prefixes grow one vertex at a time, as the construction does: from
+    each first vertex v0, with the lex-larger points excluded, build the
+    flat of the prefix and try every point not yet excluded as the next
+    vertex; it excludes the points after it in the (distance to that flat,
+    lex) order.  A branch stops at the first degenerate flat or at the
+    first step that excludes a prefix vertex.  At d vertices one product
+    of absence probabilities serves every last vertex; each adds the
+    points after it in the (distance to the prefix flat, lex) order.  The
+    last vertices are the points off the prefix flat that beat no step:
+    each is at most a tie with every earlier vertex and then lex-smaller,
+    so it recovers to the prefix plus itself.
     """
     pts, pi = ds.points, ds.probs
     n, d = pts.shape
     omp = 1.0 - pi
     ranks = lex_ranks(pts)
-    for prefix in permutations(range(n), d):
-        v0 = prefix[0]
-        if any(ranks[v] > ranks[v0] for v in prefix[1:]):
-            continue  # the first vertex is the lex-largest of the simplex
-        try:
-            flats = _prefix_flats(pts, prefix)
-        except GeometryError:
-            continue
-        excl = _beaten(pts, ranks, prefix, flats)
+
+    def grow(prefix, excl):
         plist = list(prefix)
-        if excl[plist].any():
-            continue
-        dlast = dists_to_flat(pts, flats[-1])
-        last = ~excl & (dlast > EPS_GEO)
+        try:
+            dist = dists_to_flat(pts, flat_through(pts[plist]))
+        except GeometryError:
+            return
+        if len(prefix) < d:
+            for v in np.flatnonzero(~excl).tolist():
+                if v not in prefix:
+                    step = excl | after_in_order(dist, dist[v], ranks, ranks[v])
+                    if not step[plist].any():
+                        yield from grow(prefix + (v,), step)
+            return
+        last = ~excl & (dist > EPS_GEO)
         last[plist] = False
         c = np.flatnonzero(last)
         if not c.size:
-            continue
-        after = after_in_order(dlast, dlast[c, None], ranks, ranks[c, None])
+            return
+        after = after_in_order(dist, dist[c, None], ranks, ranks[c, None])
         # Multiply far to near, one factor at a time, so the rounding is that
         # of a suffix product over the sorted order.
-        far = np.lexsort((ranks, dlast))[::-1]
+        far = np.lexsort((ranks, dist))[::-1]
         w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
         none_after = np.cumprod(w, axis=1)[:, -1]
         left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
         yield prefix, c, left * pi[c] * none_after, after | excl
+
+    for v0 in range(n):
+        yield from grow((v0,), ranks > ranks[v0])
 
 
 def witness_simplex_decomposition(
@@ -165,14 +157,11 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     return total
 
 
-_THEORETICAL_HULL_RATIO = {d: 2.0 * 5.0 ** (d - 1) for d in HULL_DIMS}
-
-
 def fpras_gamma(d: int) -> float:
     """Sample-count coefficient from the worst-case width ratio of a cell."""
-    ratio = _THEORETICAL_HULL_RATIO.get(d)
-    if ratio is None:
+    if d not in HULL_DIMS:
         raise CapabilityError(f"sampling estimator supports dimensions {HULL_DIMS}")
+    ratio = 1.0 / width_simplex_factor(d)
     return d * ratio * ratio
 
 

@@ -21,7 +21,6 @@ from schull.geometry import (
     flat_through,
     lex_ranks,
 )
-from schull.width import _beaten, _prefix_flats
 
 
 def enumerate_realizations(ds) -> list[tuple[tuple[int, ...], float]]:
@@ -561,7 +560,11 @@ def witness_simplex_prob(ds, simplex) -> float:
     # first vertex, and nothing farther (ties lex-larger) from each prefix
     # flat than the vertex chosen there.
     pts, pi = ds.points, ds.probs
-    excl = _beaten(pts, lex_ranks(pts), rec, _prefix_flats(pts, rec[:-1]))
+    ranks = lex_ranks(pts)
+    excl = ranks > ranks[rec[0]]
+    for i in range(1, d + 1):
+        dist = dists_to_flat(pts, flat_through(pts[list(rec[:i])]))
+        excl |= after_in_order(dist, dist[rec[i]], ranks, ranks[rec[i]])
     if excl[list(rec)].any():
         return 0.0
     return float(np.prod(pi[list(rec)]) * np.prod((1.0 - pi)[excl]))

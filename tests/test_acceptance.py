@@ -78,7 +78,7 @@ def test_criterion_01_witness_bracket_500_pointsets():
     worst = 1.0
     t0 = time.perf_counter()
     for trial in range(500):
-        d = (2, 3, 10, 20)[trial % 4]
+        d = (2, 3, 4, 5, 10, 20)[trial % 6]
         n = int(rng.integers(2, 41))
         pts = random_points(rng, n, d)
         spread = witness_sequence(pts).spread

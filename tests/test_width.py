@@ -19,8 +19,8 @@ from schull import (
     width_simplex_factor,
 )
 from schull.dataset import rng_stream
-from schull.geometry import _least_extent
-from schull.width import _count_rows, witness_simplex_decomposition
+from schull.geometry import _least_extent, lex_ranks
+from schull.width import _count_rows, _witness_groups, witness_simplex_decomposition
 
 from conftest import grid_dataset, random_dataset, random_points
 from reference import (
@@ -132,20 +132,6 @@ def test_witness_simplex_prob_square():
         witness_simplex_prob(ds, (0, 1))
 
 
-def test_witness_simplex_bracket_random_realizations(rng):
-    for d in (2, 3):
-        c1 = width_simplex_factor(d)
-        for _ in range(30):
-            n = int(rng.integers(d + 1, 12))
-            pts = random_points(rng, n, d)
-            if affine_rank(pts)[0] < d:
-                continue
-            sw = simplex_width(pts[list(witness_simplex(pts))])
-            w = pointset_width(pts)
-            assert sw <= w + 1e-9
-            assert sw >= c1 * w - 1e-9
-
-
 def test_decomposition_mass_is_full_rank_probability(rng):
     cases = [random_dataset(rng, n, d) for n, d in [(7, 2), (6, 3)]]
     cases += [grid_dataset(rng, n, d) for n, d in [(7, 2), (6, 3)]]
@@ -206,11 +192,19 @@ def test_grouped_equals_naive(rng):
 
 def test_mask_candidates_recover_to_their_order(rng):
     # The decomposition accepts a last vertex from the exclusion mask alone;
-    # the greedy construction must pick the same order.
+    # the greedy construction must pick the same order.  The prefixes come
+    # in strictly ascending lexicographic order, each led by its simplex's
+    # lex-largest vertex: the order that keeps the witness sum's bits.
     accepted = 0
     for k in range(12):
         n, d = (7, 2) if k % 2 == 0 else (6, 3)
         ds = grid_dataset(rng, n, d) if k < 8 else random_dataset(rng, n, d)
+        ranks = lex_ranks(ds.points)
+        groups = [(prefix, last) for prefix, last, _, _ in _witness_groups(ds)]
+        prefixes = [prefix for prefix, _ in groups]
+        assert prefixes == sorted(set(prefixes))
+        for prefix, last in groups:
+            assert ranks[prefix[0]] > ranks[list(prefix[1:]) + last.tolist()].max()
         for verts, _prob, _excluded, _free in witness_simplex_decomposition(ds):
             assert recover_vertex_list(ds.points, verts) == verts
             accepted += 1
