@@ -111,12 +111,15 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
 
     The layout is blocked.  One n^3 bool table says which point comes after
     which in the order from each point; the valid (p1, p2, p3) prefixes come
-    from it in lexicographic order, and the per-prefix body (probe distances,
-    exclusion masks, the sorted-frame suffix products and spreads over
-    every (p4, candidate) pair) runs on batches of ``_WITNESS_CHUNK``
-    prefixes as (batch, n, n) arrays.  Working memory is the n^3 bools plus
-    a few batch * n^2 floats.  Each prefix's term is added on its own, in
-    prefix order, so the batch size does not change the result.
+    from it in lexicographic order and are taken ``_WITNESS_CHUNK`` at a
+    time.  Per batch, (batch, n) probe distances decide which p4 choices are
+    valid (a few percent of them on random sets), and only those (prefix,
+    p4) pairs get rows: exclusion mask, sorted-frame candidates, suffix
+    product, spreads and row sum, each a (pairs, n) array.  Working memory
+    is the n^3 bools plus those rows, about 2 MB at n = 50 under
+    tracemalloc.  Each prefix's term is a dot product over its full-length
+    row, added on its own in prefix order, so the batch size does not
+    change the result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -138,7 +141,6 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp_sorted = omp[perm]
     pi_sorted = pi[perm]
     self_pos = pos[ar, ar]
-    flat_perm = (ar[:, None] * n + perm).ravel()  # row-major flat index of perm
     after = after_in_order(dmat[:, None, :], dmat[:, :, None], ranks, ranks[:, None])
     total = 0.0
     for p1, p2, p3, e3 in _rechunk(_witness_triples(after, ranks), _WITNESS_CHUNK):
@@ -146,28 +148,34 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
         span_a = dmat[p2, p3]
         probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]
         dpr = np.linalg.norm(pts[None, :, :] - probe[:, None, :], axis=2)
-        # [prefix, p4 choice, the point it may exclude]
-        excl = e3[:, None, :] | after_in_order(
-            dpr[:, None, :], dpr[:, :, None], ranks, ranks[:, None])
+        # p4 = a is invalid when it is excluded or excludes a prefix point
+        invalid = e3.copy()
+        for pk in (p1, p2, p3):
+            invalid |= e3[c, pk][:, None] | after_in_order(
+                dpr[c, pk][:, None], dpr, ranks[pk][:, None], ranks)
         # a prefix with no valid p4 adds an exact 0.0 below
-        valid = ~(excl[c, :, p1] | excl[c, :, p2] | excl[c, :, p3] | e3)
-        in_prefix = (ar == p1[:, None]) | (ar == p2[:, None]) | (ar == p3[:, None])
-        left = np.where(excl, omp, 1.0).prod(axis=2)
-        left *= (pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3]))[:, None]
-        left *= np.where(in_prefix, 1.0, pi)
-        cand = ~excl.reshape(len(c), -1)[:, flat_perm].reshape(excl.shape)
-        cand[:, ar, self_pos] = False  # p4 itself is never the fifth point
-        suffix = _exclusive_suffix_product(np.where(cand, omp_sorted, 1.0))
-        cols = [pos[:, pk].T for pk in (p1, p2, p3)]
+        ci, a = np.nonzero(~invalid)
+        v = np.arange(len(a))
+        # one row per valid (prefix, p4) pair, over the point it may exclude
+        excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None], ranks, ranks[a][:, None])
+        in_prefix = (a == p1[ci]) | (a == p2[ci]) | (a == p3[ci])
+        left = np.where(excl, omp, 1.0).prod(axis=1)
+        left *= (pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3]))[ci]
+        left *= np.where(in_prefix, 1.0, pi[a])
+        cand = ~excl[v[:, None], perm[a]]
+        cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
+        suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
+        cols = [pos[a, pk[ci]] for pk in (p1, p2, p3)]
         cutoff = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
-        ok = cand & (ar >= cutoff[:, :, None])
-        pic = np.where(ok, pi_sorted, 0.0)
-        rc, r4 = c[:, None], ar[None, :]
+        ok = cand & (ar >= cutoff[:, None])
+        pic = np.where(ok, pi_sorted[a], 0.0)
         for col in cols:
-            pic[rc, r4, col] = np.where(ok[rc, r4, col], 1.0, 0.0)
-        span = np.maximum(span_a[:, None, None], d_sorted)
-        rows = (pic * suffix * span).sum(axis=2)
-        weights = left * valid
+            pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
+        span = np.maximum(span_a[ci][:, None], d_sorted[a])
+        weights = np.zeros((len(c), n))
+        rows = np.zeros((len(c), n))
+        weights[ci, a] = left
+        rows[ci, a] = (pic * suffix * span).sum(axis=1)
         for k in c:
             total += float(np.dot(weights[k], rows[k]))
     return total

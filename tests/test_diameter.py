@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from itertools import product
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from conftest import grid_dataset, random_dataset, random_points
 from reference import (
     expectation_by_realization,
     expected_diameter_witness_naive,
-    witness_prob,
     witness_sequence,
     witness_spread_by_realization,
 )
@@ -35,28 +33,6 @@ from reference import (
 
 def test_factor_value():
     assert DIAMETER_WITNESS_FACTOR == pytest.approx(2.0 * math.sqrt(2.0 / 3.0))
-
-
-def test_witness_examples():
-    two = np.array([[0.0, 0.0], [3.0, 0.0]])
-    ws = witness_sequence(two)
-    assert ws.indices == (1, 0, 1, 1, 0)
-    assert ws.spread == pytest.approx(3.0)
-
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    ws = witness_sequence(square)
-    assert ws.indices == (3, 0, 3, 3, 0)
-    assert ws.spread == pytest.approx(math.sqrt(2.0))
-    assert np.allclose(ws.probe, [0.5, 0.5])  # halfway back toward the start
-
-    collinear = np.array([[0.0], [1.0], [2.0]])
-    ws = witness_sequence(collinear)
-    assert ws.indices == (2, 0, 2, 2, 0)
-    assert ws.spread == pytest.approx(2.0)
-
-    lone = witness_sequence(np.array([[4.0, 7.0]]))
-    assert lone.indices == (0, 0, 0, 0, 0)
-    assert lone.spread == 0.0
 
 
 def test_pointset_bracket(rng):
@@ -70,32 +46,6 @@ def test_pointset_bracket(rng):
         )
         assert approx <= diam + 1e-12
         assert approx >= diam / DIAMETER_WITNESS_FACTOR - 1e-12
-
-
-def test_witness_prob_examples():
-    pts = np.array([[0.0, 0.0], [3.0, 0.0]])
-    ds = StochasticDataset(pts, [0.6, 0.5])
-    assert witness_prob(ds, (1, 0, 1, 1, 0)) == pytest.approx(0.3)
-    # singleton events: exactly that point present
-    assert witness_prob(ds, (0, 0, 0, 0, 0)) == pytest.approx(0.6 * 0.5)
-    assert witness_prob(ds, (1, 1, 1, 1, 1)) == pytest.approx(0.5 * 0.4)
-    # first element must be the lex-max present point
-    assert witness_prob(ds, (0, 1, 0, 0, 1)) == 0.0
-    # equal first pair without full degeneracy is impossible
-    assert witness_prob(ds, (1, 1, 0, 1, 0)) == 0.0
-    with pytest.raises(DatasetError):
-        witness_prob(ds, (0, 1, 2, 0, 1))
-    with pytest.raises(DatasetError):
-        witness_prob(ds, (0, 1, 1, 0))
-
-
-def test_witness_probs_partition_unity(rng):
-    for n in (3, 4, 5):
-        ds = random_dataset(rng, n, 2)
-        total = sum(
-            witness_prob(ds, idx) for idx in product(range(n), repeat=5)
-        )
-        assert total == pytest.approx(1.0 - np.prod(1.0 - ds.probs), abs=1e-11)
 
 
 def test_grouped_equals_naive(rng):
@@ -231,15 +181,53 @@ def test_two_approx_builds_no_distance_table(rng):
     assert peak < 16 * 2**20
 
 
+def _witness_bit_cases(rng):
+    """Seeded sets for the witness bit-identity tests: random and integer-grid
+    sets, a set with probability-1 points (omp = 0 inside the exclusion and
+    suffix products) and a hardness instance (exact two-distance ties)."""
+    cases = [random_dataset(rng, 20, 2), random_dataset(rng, 19, 3),
+             grid_dataset(rng, 20, 3), grid_dataset(rng, 18, 2, side=5)]
+    certain = random_dataset(rng, 20, 2)
+    probs = certain.probs.copy()
+    probs[[2, 9, 17]] = 1.0
+    cases.append(StochasticDataset(certain.points, probs))
+    cycle = [(k, (k + 1) % 8) for k in range(8)] + [(0, 4), (2, 6)]
+    cases.append(hardness_instance(8, cycle).dataset)
+    return cases
+
+
 def test_witness_chunks_do_not_change_bits(rng, monkeypatch):
     # Each prefix's term is added on its own in prefix order, so batches of
     # one or five prefixes must reproduce the default batches exactly.
-    cases = [random_dataset(rng, 20, 2), random_dataset(rng, 19, 3),
-             grid_dataset(rng, 20, 3), grid_dataset(rng, 18, 2, side=5)]
+    cases = _witness_bit_cases(rng)
     full = [expected_diameter_witness(ds) for ds in cases]
     for chunk in (1, 5):
         monkeypatch.setattr(schull.diameter, "_WITNESS_CHUNK", chunk)
         assert [expected_diameter_witness(ds) for ds in cases] == full
+
+
+def test_witness_values_pinned(rng):
+    # Bit patterns of the grouped sum on the seeded cases.  A reordered sum
+    # or product moves the last bits, which the 1e-12 naive comparison
+    # above would not see.
+    got = [float.hex(expected_diameter_witness(ds)) for ds in _witness_bit_cases(rng)]
+    assert got == [
+        "0x1.10855408fa9b7p+1", "0x1.411fdce2d3bb1p+1", "0x1.7b6d0c4188301p+1",
+        "0x1.2d8e28a1b8620p+2", "0x1.2e70de1a1cab5p+1", "0x1.9c98f48c6911dp+1",
+    ]
+
+
+def test_witness_builds_no_cubic_float_batches(rng):
+    # (batch, n, n) float arrays over every (prefix, p4) pair would trace
+    # about 3.8 MB at n = 50; rows for the valid pairs alone stay near 2 MB.
+    ds = random_dataset(rng, 50, 2)
+    tracemalloc.start()
+    try:
+        expected_diameter_witness(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_two_approx_brackets_oracle(rng):

@@ -1,4 +1,6 @@
 import ast
+import math
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schull
+from schull import DatasetError, StochasticDataset
 
 from conftest import random_dataset
-from reference import enumerate_realizations
+from reference import enumerate_realizations, witness_prob, witness_sequence
 
 
 def test_enumeration_matches_realization_prob(rng):
@@ -58,3 +61,51 @@ def test_package_defines_only_what_it_runs():
         and node.name not in used and node.name not in schull.__all__
     ]
     assert unused == []
+
+
+def test_witness_examples():
+    two = np.array([[0.0, 0.0], [3.0, 0.0]])
+    ws = witness_sequence(two)
+    assert ws.indices == (1, 0, 1, 1, 0)
+    assert ws.spread == pytest.approx(3.0)
+
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ws = witness_sequence(square)
+    assert ws.indices == (3, 0, 3, 3, 0)
+    assert ws.spread == pytest.approx(math.sqrt(2.0))
+    assert np.allclose(ws.probe, [0.5, 0.5])  # halfway back toward the start
+
+    collinear = np.array([[0.0], [1.0], [2.0]])
+    ws = witness_sequence(collinear)
+    assert ws.indices == (2, 0, 2, 2, 0)
+    assert ws.spread == pytest.approx(2.0)
+
+    lone = witness_sequence(np.array([[4.0, 7.0]]))
+    assert lone.indices == (0, 0, 0, 0, 0)
+    assert lone.spread == 0.0
+
+
+def test_witness_prob_examples():
+    pts = np.array([[0.0, 0.0], [3.0, 0.0]])
+    ds = StochasticDataset(pts, [0.6, 0.5])
+    assert witness_prob(ds, (1, 0, 1, 1, 0)) == pytest.approx(0.3)
+    # singleton events: exactly that point present
+    assert witness_prob(ds, (0, 0, 0, 0, 0)) == pytest.approx(0.6 * 0.5)
+    assert witness_prob(ds, (1, 1, 1, 1, 1)) == pytest.approx(0.5 * 0.4)
+    # first element must be the lex-max present point
+    assert witness_prob(ds, (0, 1, 0, 0, 1)) == 0.0
+    # equal first pair without full degeneracy is impossible
+    assert witness_prob(ds, (1, 1, 0, 1, 0)) == 0.0
+    with pytest.raises(DatasetError):
+        witness_prob(ds, (0, 1, 2, 0, 1))
+    with pytest.raises(DatasetError):
+        witness_prob(ds, (0, 1, 1, 0))
+
+
+def test_witness_probs_partition_unity(rng):
+    for n in (3, 4, 5):
+        ds = random_dataset(rng, n, 2)
+        total = sum(
+            witness_prob(ds, idx) for idx in product(range(n), repeat=5)
+        )
+        assert total == pytest.approx(1.0 - np.prod(1.0 - ds.probs), abs=1e-11)
