@@ -75,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compute", help="run an estimator on a dataset file")
     _add_compute_args(comp)
+    comp.add_argument("--format", choices=("json", "text"), default="json")
     comp.add_argument(
         "--timing",
         action="store_true",
@@ -110,7 +111,6 @@ def _add_compute_args(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=0.25, help="sampling accuracy target")
     p.add_argument("--gamma", type=float, default=None, help="override sample coefficient")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _resolve_method(stat: str, method: str | None) -> str:

@@ -188,10 +188,7 @@ def face_prob(ds: StochasticDataset, face) -> float:
     if not rest:
         mem = 0.0
     else:
-        if k == 0:
-            images, q = pts[rest], pts[verts[0]]
-        else:
-            images, q = project_orthocomplement(pts[rest], pts[list(verts)])
+        images, q = project_orthocomplement(pts[rest], pts[list(verts)])
         if d - k == 1:
             mem = _cover_1d(images[:, 0] - q[0], ds.probs[rest], rest, verts)
         else:

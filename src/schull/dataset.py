@@ -211,14 +211,6 @@ def _high_members(h: int, lo: int, n: int) -> np.ndarray:
     return lo + np.flatnonzero(h >> np.arange(n - lo) & 1)
 
 
-def _bit_counts(k: int) -> np.ndarray:
-    """Number of set bits of every k-bit mask."""
-    counts = np.zeros(1 << k, dtype=np.int8)
-    for b in range(k):
-        counts[1 << b:2 << b] = counts[:1 << b] + 1
-    return counts
-
-
 def _max_table(values: np.ndarray, init) -> np.ndarray:
     """t[..., m] = max(init, max of values[..., j] over the set bits j of m).
 
@@ -279,7 +271,7 @@ def _width_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
     """Width of every realization, by ``_subset_widths`` over the low bits.
     Realizations of at most d points have width 0."""
     n, d = pts.shape
-    counts = _bit_counts(lo)
+    counts = np.bitwise_count(np.arange(1 << lo))
     for h in range(1 << (n - lo)):
         high = _high_members(h, lo, n)
         width = _subset_widths(pts, lo, high)
@@ -344,7 +336,7 @@ def _planar_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, 
     n = len(pts)
     need, sel = _supporting_pairs(pts)
     rows = (1 << _BLOCK_BITS) >> lo
-    counts = _bit_counts(lo)
+    counts = np.bitwise_count(np.arange(1 << lo))
     for h in range(1 << (n - lo)):
         masks = np.arange(h << lo, (h + 1) << lo, dtype=np.int32)
         hits = _count_supports(masks, need, sel, rows)
@@ -424,7 +416,7 @@ def _spatial_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray,
     n = len(pts)
     line, (need, sel), ends, (f_need, f_up, f_down) = _spatial_supports(pts)
     rows = (1 << _BLOCK_BITS) >> lo
-    counts = _bit_counts(lo)
+    counts = np.bitwise_count(np.arange(1 << lo))
     for h in range(1 << (n - lo)):
         masks = np.arange(h << lo, (h + 1) << lo, dtype=np.int32)
         collinear = _count_supports(masks, *line, rows)

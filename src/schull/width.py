@@ -196,34 +196,17 @@ class FprasConfig:
             raise DatasetError("seed must be non-negative")
 
 
-# Columns folded into one int64 row key; the sign bit stays clear.
-_KEY_BITS = 62
-
-
 def _count_rows(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a boolean matrix in lexicographic order, with counts.
 
-    Gives the rows, order and counts of a row-wise ``np.unique`` without
-    sorting whole rows.  Each row is folded into an int64 key, first column
-    most significant, so ascending keys are lexicographic rows.  Past
-    ``_KEY_BITS`` columns the row is folded one chunk at a time, and after
-    each further chunk the pair (rank so far, chunk key) is re-ranked
-    densely, which keeps the order.
+    Gives the rows, order and counts of a row-wise ``np.unique`` from a 1-d
+    ``np.unique`` over each row's packed bytes: ``packbits`` puts the first
+    column in the most significant bit and pads every row with the same
+    zeros, so byte order is lexicographic row order.
     """
-    m, k = present.shape
-    ids = np.zeros(m, dtype=np.int64)
-    for start in range(0, k, _KEY_BITS):
-        key = ids if start == 0 else np.zeros(m, dtype=np.int64)
-        for j in range(start, min(start + _KEY_BITS, k)):
-            key <<= 1
-            key |= present[:, j]
-        if start:
-            order = np.lexsort((key, ids))
-            a, b = ids[order], key[order]
-            step = np.zeros(m, dtype=np.int64)
-            step[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-            ids[order] = np.cumsum(step)
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    packed = np.packbits(present, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     return present[first], counts
 
 

@@ -40,10 +40,25 @@ def test_enumeration_probabilities_sum_to_one(n, seed):
     assert sum(p for _, p in enumerate_realizations(ds)) == pytest.approx(1.0)
 
 
+def _defined_names(node):
+    """Names a module-level statement defines: a function, a class or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_package_defines_only_what_it_runs():
-    # Every top-level function and class of the package is read somewhere in
-    # the package or exported from its root.  An import alone does not
-    # count, so code that only tests run belongs in reference.py.
+    # Every top-level function, class and constant of the package, dunders
+    # aside, is read somewhere in the package or exported from its root.  An
+    # import alone does not count, so code that only tests run belongs in
+    # reference.py.
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(schull.__file__).parent.glob("*.py"))}
     used = set()
@@ -54,11 +69,11 @@ def test_package_defines_only_what_it_runs():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     unused = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used and node.name not in schull.__all__
+        for name in _defined_names(node)
+        if not name.startswith("__") and name not in used and name not in schull.__all__
     ]
     assert unused == []
 

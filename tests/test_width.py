@@ -380,6 +380,38 @@ def test_fpras_matches_cell_reference(rng, d, n):
         assert got == pytest.approx(want, rel=1e-12), gamma
 
 
+def _fpras_bit_cases(rng):
+    """Seeded (dataset, config) pairs that sample cells.  At eps 0.5 and
+    gamma 0.1 one row is drawn per cell, so every cell with a free point is
+    sampled; at smaller eps the sampled cells draw 6 to 1,056 rows, which
+    repeat."""
+    d2, d3 = random_dataset(rng, 12, 2), random_dataset(rng, 9, 3)
+    d2n14 = random_dataset(rng, 14, 2)
+    return [
+        (d2, FprasConfig(0.5, gamma_override=0.1)),
+        (d3, FprasConfig(0.5, gamma_override=0.1)),
+        (d2, FprasConfig(0.1, gamma_override=0.1)),
+        (d3, FprasConfig(0.2, seed=3, gamma_override=0.1)),
+        (d2n14, FprasConfig(0.1, gamma_override=4.0)),
+    ]
+
+
+def test_fpras_values_pinned(rng):
+    # Bit patterns and sampled-cell counts on the seeded cases.  A reordered
+    # row count or sum moves the last bits, which the self-comparison of
+    # the CLI reports would not see.
+    got = []
+    for ds, cfg in _fpras_bit_cases(rng):
+        stats = {}
+        value = expected_width_fpras(ds, cfg, stats=stats)
+        got.append((float.hex(value), stats["sampled_cells"]))
+    assert got == [
+        ("0x1.11d4b8c9fbd2ap+0", 165), ("0x1.9e804d665b91dp-2", 70),
+        ("0x1.10cdec47407a9p+0", 35), ("0x1.a19b6c815ca2ap-2", 15),
+        ("0x1.122198ae19d55p+0", 1),
+    ]
+
+
 def test_fpras_exact_up_to_sample_count(rng):
     # A cell with 2^|free| = m is summed exactly; at m = 2^|free| - 1 it is
     # sampled.
