@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import StochasticDataset, decode_text, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import after_in_order, distance_matrix, flat_through, lex_ranks
+from .geometry import after_in_order, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
@@ -147,7 +147,7 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
         c = np.arange(len(p1))
         span_a = dmat[p2, p3]
         probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]
-        dpr = np.linalg.norm(pts[None, :, :] - probe[:, None, :], axis=2)
+        dpr = distance_matrix(probe, pts)
         # p4 = a is invalid when it is excluded or excludes a prefix point
         invalid = e3.copy()
         for pk in (p1, p2, p3):
@@ -206,8 +206,7 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     for a in range(0, n - 1, _TWO_APPROX_BLOCK):
         anchors = np.arange(a, min(a + _TWO_APPROX_BLOCK, n - 1))
         cols = by_rank[by_rank > a]  # partners j > a, ascending lex rank
-        diff = pts[anchors, None, :] - pts[None, cols, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = distance_matrix(pts[anchors], pts[cols])
         order = _order_by_distance(dist, cols)
         # only partners after the anchor count, as points or as exclusions
         later = order > anchors[:, None]
@@ -264,10 +263,10 @@ def double_simplex(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k == 1:
         mirror = 2.0 * facet[0] - apex
     else:
-        flat = flat_through(facet)
-        w = apex - flat.base
-        w_par = (flat.basis.T @ (flat.basis @ w)) if flat.dim else np.zeros_like(w)
-        mirror = flat.base + 2.0 * w_par - w
+        # reflect the apex through the facet's flat
+        q, _ = np.linalg.qr((facet[1:] - facet[0]).T)
+        w = apex - facet[0]
+        mirror = facet[0] + 2.0 * (q @ (q.T @ w)) - w
     return facet, apex, mirror
 
 

@@ -13,7 +13,6 @@ The width kernel, ``_least_extent``, needs no tolerance at any scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -68,51 +67,31 @@ def after_in_order(dist, ref, ranks, ref_rank):
     return ((dist > ref) & ~tie) | (tie & (ranks > ref_rank))
 
 
-def distance_matrix(pts: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances of a (m, d) point array."""
-    diff = pts[:, None, :] - pts[None, :, :]
+def distance_matrix(pts: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances from each row of ``pts`` to each row of ``other``
+    (default ``pts``): a (len(pts), len(other)) table."""
+    other = pts if other is None else other
+    diff = pts[:, None, :] - other[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-@dataclass(frozen=True)
-class Flat:
-    """Affine flat given by a base point and an orthonormal direction basis.
+def dists_to_flat(points, spans) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean distances from each point to each of a batch of affine flats.
 
-    ``basis`` has shape (k, d) with orthonormal rows; k = 0 encodes a single
-    point.
+    ``spans`` has shape (B, k, d): flat b passes through its k points.
+    Returns ``(ok, dist)`` with dist of shape (B, m).  ok[b] is False when
+    the k points are affinely dependent (a pivot of the QR factorization of
+    their differences is at most EPS_GEO); such rows hold no meaningful
+    distance.  One QR call covers the batch.
     """
-
-    base: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-def flat_through(points) -> Flat:
-    """The affine flat spanned by the given affinely independent points."""
     pts = as_points(points)
-    m, d = pts.shape
-    if m == 0:
-        raise GeometryError("flat_through: need at least one point")
-    base = pts[0]
-    if m == 1:
-        return Flat(base, np.zeros((0, d)))
-    diffs = (pts[1:] - base).T  # (d, k)
-    q, r = np.linalg.qr(diffs)
-    if np.abs(np.diag(r)).min() <= EPS_GEO:
-        raise GeometryError("flat_through: affinely dependent spanning points")
-    return Flat(base, np.ascontiguousarray(q.T))
-
-
-def dists_to_flat(points, flat: Flat) -> np.ndarray:
-    """Euclidean distances from each point to the flat (vectorized)."""
-    pts = as_points(points)
-    w = pts - flat.base
-    if flat.dim:
-        w = w - (w @ flat.basis.T) @ flat.basis
-    return np.linalg.norm(w, axis=1)
+    spans = np.asarray(spans, dtype=np.float64)
+    base = spans[:, :1]
+    q, r = np.linalg.qr(np.swapaxes(spans[:, 1:] - base, 1, 2))  # (B, d, k-1)
+    ok = (np.abs(np.diagonal(r, axis1=1, axis2=2)) > EPS_GEO).all(axis=1)
+    w = pts - base
+    w = w - (w @ q) @ np.swapaxes(q, 1, 2)
+    return ok, np.linalg.norm(w, axis=2)
 
 
 def project_orthocomplement(points, spanning):

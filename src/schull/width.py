@@ -37,14 +37,13 @@ from .dataset import (
     _subset_widths,
     rng_stream,
 )
-from .errors import CapabilityError, DatasetError, GeometryError
+from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
     _least_extent,
     after_in_order,
     dists_to_flat,
-    flat_through,
     lex_ranks,
 )
 
@@ -64,52 +63,55 @@ def _witness_groups(ds: StochasticDataset):
     (len(last), n) mask of the points each cell forces absent, prefixes in
     ascending lexicographic order.
 
-    Prefixes grow one vertex at a time, as the construction does: from
-    each first vertex v0, with the lex-larger points excluded, build the
-    flat of the prefix and try every point not yet excluded as the next
-    vertex; it excludes the points after it in the (distance to that flat,
-    lex) order.  A branch stops at the first degenerate flat or at the
-    first step that excludes a prefix vertex.  At d vertices one product
-    of absence probabilities serves every last vertex; each adds the
-    points after it in the (distance to the prefix flat, lex) order.  The
-    last vertices are the points off the prefix flat that beat no step:
-    each is at most a tie with every earlier vertex and then lex-smaller,
-    so it recovers to the prefix plus itself.
+    Prefixes grow one vertex at a time, as the construction does, one tree
+    level at a time per first vertex v0.  A level holds its prefixes (B, k),
+    their exclusion masks (B, n) and distances to their flats (B, n), from
+    one ``dists_to_flat`` call; a prefix with a degenerate flat is dropped.
+    Every point not yet excluded may be the next vertex; it excludes the
+    points after it in the (distance to the prefix flat, lex) order, and a
+    step that excludes a prefix vertex is dropped.  The (prefix, vertex)
+    cells are taken in row-major order, so every level stays in ascending
+    lexicographic order.  At d vertices one product of absence
+    probabilities serves every last vertex; each adds the points after it in
+    the (distance to the prefix flat, lex) order.  The last vertices are the
+    points off the prefix flat that beat no step: each is at most a tie with
+    every earlier vertex and then lex-smaller, so it recovers to the prefix
+    plus itself.
     """
     pts, pi = ds.points, ds.probs
     n, d = pts.shape
     omp = 1.0 - pi
     ranks = lex_ranks(pts)
-
-    def grow(prefix, excl):
-        plist = list(prefix)
-        try:
-            dist = dists_to_flat(pts, flat_through(pts[plist]))
-        except GeometryError:
-            return
-        if len(prefix) < d:
-            for v in np.flatnonzero(~excl).tolist():
-                if v not in prefix:
-                    step = excl | after_in_order(dist, dist[v], ranks, ranks[v])
-                    if not step[plist].any():
-                        yield from grow(prefix + (v,), step)
-            return
-        last = ~excl & (dist > EPS_GEO)
-        last[plist] = False
-        c = np.flatnonzero(last)
-        if not c.size:
-            return
-        after = after_in_order(dist, dist[c, None], ranks, ranks[c, None])
-        # Multiply far to near, one factor at a time, so the rounding is that
-        # of a suffix product over the sorted order.
-        far = np.lexsort((ranks, dist))[::-1]
-        w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
-        none_after = np.cumprod(w, axis=1)[:, -1]
-        left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
-        yield prefix, c, left * pi[c] * none_after, after | excl
-
     for v0 in range(n):
-        yield from grow((v0,), ranks > ranks[v0])
+        prefix = np.array([[v0]])
+        excls = (ranks > ranks[v0])[None]
+        for k in range(1, d + 1):
+            ok, dists = dists_to_flat(pts, pts[prefix])
+            prefix, excls, dists = prefix[ok], excls[ok], dists[ok]
+            if k == d:
+                break
+            cand = ~excls
+            cand[np.arange(len(prefix))[:, None], prefix] = False
+            b, v = np.nonzero(cand)
+            step = excls[b] | after_in_order(dists[b], dists[b, v][:, None],
+                                             ranks, ranks[v][:, None])
+            keep = ~step[np.arange(len(b))[:, None], prefix[b]].any(axis=1)
+            prefix = np.column_stack([prefix[b], v])[keep]
+            excls = step[keep]
+        for plist, excl, dist in zip(prefix.tolist(), excls, dists):
+            last = ~excl & (dist > EPS_GEO)
+            last[plist] = False
+            c = np.flatnonzero(last)
+            if not c.size:
+                continue
+            after = after_in_order(dist, dist[c, None], ranks, ranks[c, None])
+            # Multiply far to near, one factor at a time, so the rounding is
+            # that of a suffix product over the sorted order.
+            far = np.lexsort((ranks, dist))[::-1]
+            w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
+            none_after = np.cumprod(w, axis=1)[:, -1]
+            left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
+            yield tuple(plist), c, left * pi[c] * none_after, after | excl
 
 
 def witness_simplex_decomposition(

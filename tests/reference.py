@@ -18,7 +18,6 @@ from schull.geometry import (
     as_points,
     distance_matrix,
     dists_to_flat,
-    flat_through,
     lex_ranks,
 )
 
@@ -164,11 +163,16 @@ def _build_hull3d(pts: np.ndarray) -> _Hull3D:
     i0 = int(np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))[0])
     d0 = np.linalg.norm(pts - pts[i0], axis=1)
     i1 = int(np.argmax(d0))
-    line = flat_through(pts[[i0, i1]])
-    d1 = dists_to_flat(pts, line)
+
+    def dists_to(span):
+        ok, dist = dists_to_flat(pts, pts[span][None])
+        if not ok[0]:
+            raise GeometryError("hull3d: affinely dependent seed points")
+        return dist[0]
+
+    d1 = dists_to([i0, i1])
     i2 = int(np.argmax(d1))
-    plane = flat_through(pts[[i0, i1, i2]])
-    d2 = dists_to_flat(pts, plane)
+    d2 = dists_to([i0, i1, i2])
     i3 = int(np.argmax(d2))
     if d2[i3] <= EPS_GEO:
         raise GeometryError("hull3d: input not full-dimensional")
@@ -488,9 +492,8 @@ def _greedy_vertex_list(pts, cand, ranks) -> list[int] | None:
     first = cand[int(np.argmax(ranks[cand]))]
     chosen = [int(first)]
     for _ in range(d):
-        flat = flat_through(pts[chosen])
-        dist = dists_to_flat(pts[cand], flat)
-        if dist.max() <= EPS_GEO:
+        ok, (dist,) = dists_to_flat(pts[cand], pts[chosen][None])
+        if not ok[0] or dist.max() <= EPS_GEO:
             return None
         chosen.append(int(cand[last_in_order(dist, ranks[cand])]))
     return chosen
@@ -563,7 +566,7 @@ def witness_simplex_prob(ds, simplex) -> float:
     ranks = lex_ranks(pts)
     excl = ranks > ranks[rec[0]]
     for i in range(1, d + 1):
-        dist = dists_to_flat(pts, flat_through(pts[list(rec[:i])]))
+        _, (dist,) = dists_to_flat(pts, pts[list(rec[:i])][None])  # rec's flats are ok
         excl |= after_in_order(dist, dist[rec[i]], ranks, ranks[rec[i]])
     if excl[list(rec)].any():
         return 0.0

@@ -8,7 +8,6 @@ from schull.geometry import (
     EPS_GEO,
     distance_matrix,
     dists_to_flat,
-    flat_through,
     lex_ranks,
     project_orthocomplement,
 )
@@ -30,18 +29,20 @@ def test_lex_ranks_match_pairwise_order(rng):
 
 
 def test_flat_distances():
-    line = flat_through([[0.0, 0.0], [1.0, 0.0]])
-    assert dists_to_flat([[0.5, 3.0]], line) == pytest.approx([3.0])
-    plane = flat_through([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert dists_to_flat([[9.0, -4.0, 2.5]], plane) == pytest.approx([2.5])
-    point = flat_through([[1.0, 1.0]])
-    assert point.dim == 0
-    assert dists_to_flat([[4.0, 5.0], [1.0, 1.0]], point) == pytest.approx([5.0, 0.0])
+    ok, dist = dists_to_flat([[0.5, 3.0]], [[[0.0, 0.0], [1.0, 0.0]]])
+    assert ok.tolist() == [True] and dist[0] == pytest.approx([3.0])
+    ok, dist = dists_to_flat([[9.0, -4.0, 2.5]], [[[0, 0, 0], [1, 0, 0], [0, 1, 0]]])
+    assert ok.tolist() == [True] and dist[0] == pytest.approx([2.5])
+    # a single spanning point is a 0-dimensional flat; flats batch along axis 0
+    ok, dist = dists_to_flat([[4.0, 5.0], [1.0, 1.0]], [[[1.0, 1.0]], [[4.0, 5.0]]])
+    assert ok.tolist() == [True, True]
+    assert dist[0] == pytest.approx([5.0, 0.0]) and dist[1] == pytest.approx([0.0, 5.0])
 
 
 def test_flat_through_rejects_dependent_points():
-    with pytest.raises(GeometryError):
-        flat_through([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    spans = [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]
+    ok, _ = dists_to_flat([[0.0, 0.0]], spans)
+    assert ok.tolist() == [False, True]
 
 
 def test_project_orthocomplement_preserves_transverse_distances(rng):
@@ -52,8 +53,8 @@ def test_project_orthocomplement_preserves_transverse_distances(rng):
     # both spanning points share the image q
     assert np.allclose(images[0], q) and np.allclose(images[1], q)
     # distances to the span line equal image distances to q
-    line = flat_through(span)
-    expect = dists_to_flat(pts, line)
+    ok, (expect,) = dists_to_flat(pts, span[None])
+    assert ok[0]
     got = np.linalg.norm(images - q, axis=1)
     assert np.allclose(expect, got, atol=1e-9)
 

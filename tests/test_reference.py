@@ -9,10 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schull
-from schull import DatasetError, StochasticDataset
+from schull import DatasetError, GeometryError, StochasticDataset
 
 from conftest import random_dataset
-from reference import enumerate_realizations, witness_prob, witness_sequence
+from reference import (
+    enumerate_realizations,
+    pointset_width,
+    recover_vertex_list,
+    simplex_width,
+    witness_prob,
+    witness_sequence,
+    witness_simplex,
+    witness_simplex_prob,
+)
+
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def test_enumeration_matches_realization_prob(rng):
@@ -124,3 +135,52 @@ def test_witness_probs_partition_unity(rng):
             witness_prob(ds, idx) for idx in product(range(n), repeat=5)
         )
         assert total == pytest.approx(1.0 - np.prod(1.0 - ds.probs), abs=1e-11)
+
+
+def test_witness_simplex_square():
+    # lex-max corner, farthest point from it, then farthest from their line
+    assert witness_simplex(SQUARE) == (3, 0, 1)
+
+
+def test_witness_simplex_degenerate():
+    with pytest.raises(GeometryError):
+        witness_simplex(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+
+
+def test_recover_vertex_list():
+    assert recover_vertex_list(SQUARE, (0, 1, 3)) == (3, 0, 1)
+    assert recover_vertex_list(SQUARE, (0, 2, 3)) == (3, 0, 2)
+    collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    assert recover_vertex_list(collinear, (0, 1, 2)) is None
+    with pytest.raises(DatasetError):
+        recover_vertex_list(SQUARE, (0, 1))
+
+
+def test_simplex_width_triangles():
+    tri = SQUARE[[3, 0, 1]]  # right isoceles, legs 1, hypotenuse sqrt(2)
+    assert simplex_width(tri) == pytest.approx(1.0 / math.sqrt(2.0))
+    eq = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+    assert simplex_width(eq) == pytest.approx(math.sqrt(3) / 2)
+    with pytest.raises(GeometryError):
+        simplex_width(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+
+
+def test_simplex_width_tetrahedron():
+    # unit regular tetrahedron: opposite-edge slab beats all four heights
+    tet = np.array(
+        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
+    ) / math.sqrt(8.0)
+    assert simplex_width(tet) == pytest.approx(1.0 / math.sqrt(2.0))
+    # matches the generic width routine on the same 4 points
+    assert simplex_width(tet) == pytest.approx(pointset_width(tet))
+    # no absolute tolerance on a small simplex
+    assert simplex_width(tet * 1e-5) == pytest.approx(1e-5 / math.sqrt(2.0))
+
+
+def test_witness_simplex_prob_square():
+    ds = StochasticDataset(SQUARE, [1.0, 1.0, 1.0, 1.0])
+    assert witness_simplex_prob(ds, (3, 0, 1)) == pytest.approx(1.0)
+    assert witness_simplex_prob(ds, (3, 0, 2)) == 0.0  # loses the tie to 1
+    assert witness_simplex_prob(ds, (0, 3, 1)) == 0.0  # wrong construction order
+    with pytest.raises(DatasetError):
+        witness_simplex_prob(ds, (0, 1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -9,7 +10,6 @@ from schull import (
     CapabilityError,
     DatasetError,
     FprasConfig,
-    GeometryError,
     StochasticDataset,
     expected_width_fpras,
     expected_width_witness,
@@ -36,52 +36,10 @@ from reference import (
     witness_width_by_realization,
 )
 
-SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-
 
 def test_factor_values():
     assert width_simplex_factor(2) == pytest.approx(0.1)
     assert width_simplex_factor(3) == pytest.approx(0.02)
-
-
-def test_witness_simplex_square():
-    # lex-max corner, farthest point from it, then farthest from their line
-    assert witness_simplex(SQUARE) == (3, 0, 1)
-
-
-def test_witness_simplex_degenerate():
-    with pytest.raises(GeometryError):
-        witness_simplex(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-
-
-def test_recover_vertex_list():
-    assert recover_vertex_list(SQUARE, (0, 1, 3)) == (3, 0, 1)
-    assert recover_vertex_list(SQUARE, (0, 2, 3)) == (3, 0, 2)
-    collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    assert recover_vertex_list(collinear, (0, 1, 2)) is None
-    with pytest.raises(DatasetError):
-        recover_vertex_list(SQUARE, (0, 1))
-
-
-def test_simplex_width_triangles():
-    tri = SQUARE[[3, 0, 1]]  # right isoceles, legs 1, hypotenuse sqrt(2)
-    assert simplex_width(tri) == pytest.approx(1.0 / math.sqrt(2.0))
-    eq = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    assert simplex_width(eq) == pytest.approx(math.sqrt(3) / 2)
-    with pytest.raises(GeometryError):
-        simplex_width(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-
-
-def test_simplex_width_tetrahedron():
-    # unit regular tetrahedron: opposite-edge slab beats all four heights
-    tet = np.array(
-        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-    ) / math.sqrt(8.0)
-    assert simplex_width(tet) == pytest.approx(1.0 / math.sqrt(2.0))
-    # matches the generic width routine on the same 4 points
-    assert simplex_width(tet) == pytest.approx(pointset_width(tet))
-    # no absolute tolerance on a small simplex
-    assert simplex_width(tet * 1e-5) == pytest.approx(1e-5 / math.sqrt(2.0))
 
 
 def test_simplex_width_matches_pointset_width(rng):
@@ -121,15 +79,6 @@ def test_width_estimators_scale_with_coordinates(rng, d, n):
         scaled = StochasticDataset(ds.points * 10.0**k, ds.probs)
         got = (expected_width_witness(scaled), expected_width_fpras(scaled, cfg))
         assert got == pytest.approx((base[0] * 10.0**k, base[1] * 10.0**k), rel=1e-9), k
-
-
-def test_witness_simplex_prob_square():
-    ds = StochasticDataset(SQUARE, [1.0, 1.0, 1.0, 1.0])
-    assert witness_simplex_prob(ds, (3, 0, 1)) == pytest.approx(1.0)
-    assert witness_simplex_prob(ds, (3, 0, 2)) == 0.0  # loses the tie to 1
-    assert witness_simplex_prob(ds, (0, 3, 1)) == 0.0  # wrong construction order
-    with pytest.raises(DatasetError):
-        witness_simplex_prob(ds, (0, 1))
 
 
 def test_decomposition_mass_is_full_rank_probability(rng):
@@ -230,6 +179,48 @@ def test_width_witness_brackets_oracle(rng):
 def test_width_witness_small_n_zero(rng):
     ds = random_dataset(rng, 2, 2)
     assert expected_width_witness(ds) == 0.0
+
+
+def _witness_bit_cases(rng):
+    """Seeded sets for the width-witness pin: random sets, integer grids
+    (exact distance ties), probability-1 points (omp = 0 inside ``left`` and
+    the suffix products), collinear points plus one off the line (degenerate
+    flats) and an n = d set."""
+    cases = [random_dataset(rng, 12, 2), random_dataset(rng, 9, 3),
+             grid_dataset(rng, 12, 2, side=4), grid_dataset(rng, 10, 3)]
+    certain = random_dataset(rng, 12, 2)
+    probs = certain.probs.copy()
+    probs[[1, 5, 8]] = 1.0
+    cases.append(StochasticDataset(certain.points, probs))
+    line = np.column_stack([np.arange(7.0), np.zeros(7)])
+    cases.append(StochasticDataset(np.vstack([line, [[2.5, 1.5]]]), rng.uniform(0.1, 0.95, 8)))
+    cases.append(random_dataset(rng, 2, 2))
+    return cases
+
+
+def test_width_witness_values_pinned(rng):
+    # Bit patterns on the seeded cases.  A reordered product or sum moves
+    # the last bits, which the golden tolerance would not see.
+    got = [float.hex(expected_width_witness(ds)) for ds in _witness_bit_cases(rng)]
+    assert got == [
+        "0x1.c02a9ad87453cp-1", "0x1.888ac29c68f00p-2", "0x1.e31aabc12ba32p+0",
+        "0x1.652ba58d7df21p-2", "0x1.1ba46ccca0a94p+0", "0x1.35c5186c20f50p+0",
+        "0x0.0p+0",
+    ]
+
+
+def test_witness_walk_memory_per_first_vertex(rng):
+    # The tree levels of one first vertex at a time stay well under 1 MB at
+    # n = 50; holding every first vertex's level in one array traces about
+    # 3 MB.
+    ds = random_dataset(rng, 50, 2)
+    tracemalloc.start()
+    try:
+        expected_width_witness(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- sampling estimator ---
