@@ -9,9 +9,9 @@ counts and complexity for d = 2 and 3, and a brute-force enumeration oracle
 for small inputs that everything else is tested against.
 
 The root exports the estimators, the oracle and their inputs.  Internal
-layers (flats and distances of point sets, the width kernel, the
-witness-simplex decomposition, seeded streams) are imported from their
-modules.
+layers (flats and distances of point sets, the width kernel, seeded
+streams) are imported from their modules; the witness-simplex
+decomposition is private to ``schull.width``.
 """
 
 from .complexity import (

@@ -51,54 +51,32 @@ def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return cols[np.argsort(dist, axis=1, kind="stable")]
 
 
-def _rechunk(blocks, size: int):
-    """Regroup a stream of row-aligned array tuples into ``size``-row tuples.
-
-    Rows keep their order across blocks; only the last tuple may be shorter.
-    """
-    held, count = [], 0
-    for block in blocks:
-        held.append(block)
-        count += len(block[0])
-        if count < size:
-            continue
-        merged = [np.concatenate(parts) for parts in zip(*held)]
-        stop = count - count % size
-        for s in range(0, stop, size):
-            yield tuple(m[s : s + size] for m in merged)
-        held = [tuple(m[stop:] for m in merged)]
-        count -= stop
-    if count:
-        yield tuple(np.concatenate(parts) for parts in zip(*held))
-
-
 # Prefix triples (p1, p2, p3) per batch of the witness sum, and anchor rows
 # per block of the 2-approximation; both bound working memory, not results.
 _WITNESS_CHUNK = 32
 _TWO_APPROX_BLOCK = 32
 
 
-def _witness_triples(after: np.ndarray, ranks: np.ndarray):
-    """Valid witness prefixes (p1, p2, p3) and their exclusion rows, per p1.
+def _witness_triples(after: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Valid witness prefixes (p1, p2, p3) as a (3, T) index array.
 
     ``after[b, a, j]`` says that j comes after a in the (distance, lex) order
     from b.  A prefix survives when none of its points is excluded by the
-    lex-larger rule or by the contests that picked p2 and p3.  Yields
-    ``(p1, p2, p3, e3)`` arrays in lexicographic triple order; row k of
-    ``e3`` is the set already excluded by triple k.
+    lex-larger rule or by the contests that picked p2 and p3.  Columns are
+    in lexicographic triple order.
     """
     n = len(ranks)
     ar = np.arange(n)
+    triples = [np.empty((3, 0), dtype=np.intp)]
     for p1 in range(n):
         e12 = (ranks > ranks[p1]) | after[p1]  # row p2
         p2 = np.flatnonzero(~(e12[:, p1] | e12[ar, ar]) & (ar != p1))
-        if not len(p2):
-            continue
         # e3s[k, p3]: e12 of p2[k] plus the points after p3 in the order from p2[k]
         e3s = e12[p2][:, None, :] | after[p2]
         ok3 = ~(e3s[:, :, p1] | e3s[np.arange(len(p2)), :, p2] | e3s[:, ar, ar])
         k, p3 = np.nonzero(ok3)
-        yield np.full(len(k), p1), p2[k], p3, e3s[k, p3]
+        triples.append(np.stack([np.full(len(k), p1), p2[k], p3]))
+    return np.concatenate(triples, axis=1)
 
 
 def expected_diameter_witness(ds: StochasticDataset) -> float:
@@ -109,17 +87,19 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     the per-candidate exclusion products into one reversed cumulative
     product.  Runs in O(n^5) time.
 
-    The layout is blocked.  One n^3 bool table says which point comes after
-    which in the order from each point; the valid (p1, p2, p3) prefixes come
-    from it in lexicographic order and are taken ``_WITNESS_CHUNK`` at a
-    time.  Per batch, (batch, n) probe distances decide which p4 choices are
-    valid (a few percent of them on random sets), and only those (prefix,
-    p4) pairs get rows: exclusion mask, sorted-frame candidates, suffix
-    product, spreads and row sum, each a (pairs, n) array.  Working memory
-    is the n^3 bools plus those rows, about 2 MB at n = 50 under
-    tracemalloc.  Each prefix's term is a dot product over its full-length
-    row, added on its own in prefix order, so the batch size does not
-    change the result.
+    The layout is blocked.  One n^3 bool table, built one source point at a
+    time, says which point comes after which in the order from each point.
+    The valid (p1, p2, p3) prefixes come from it as one (3, T) index array
+    in lexicographic order, sliced ``_WITNESS_CHUNK`` columns at a time;
+    each batch's exclusion rows are three gathers from the table.  Per
+    batch, (batch, n) probe distances decide which p4 choices are valid (a
+    few percent of them on random sets), and only those (prefix, p4) pairs
+    get rows: exclusion mask, sorted-frame candidates, suffix product,
+    spreads and row sum, each a (pairs, n) array.  Working memory is the
+    n^3 bools plus those rows: a tracemalloc peak of 0.8 MB at n = 50 and
+    4.8 MB at n = 100 on random planar sets.  Each prefix's term is a dot
+    product over its full-length row, added on its own in prefix order, so
+    the batch size does not change the result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -141,9 +121,16 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp_sorted = omp[perm]
     pi_sorted = pi[perm]
     self_pos = pos[ar, ar]
-    after = after_in_order(dmat[:, None, :], dmat[:, :, None], ranks, ranks[:, None])
+    after = np.empty((n, n, n), dtype=bool)
+    for b in range(n):
+        after[b] = after_in_order(dmat[b], dmat[b][:, None], ranks, ranks[:, None])
+    triples = _witness_triples(after, ranks)
     total = 0.0
-    for p1, p2, p3, e3 in _rechunk(_witness_triples(after, ranks), _WITNESS_CHUNK):
+    for s in range(0, triples.shape[1], _WITNESS_CHUNK):
+        p1, p2, p3 = triples[:, s : s + _WITNESS_CHUNK]
+        # the points each prefix already excludes: lex-larger than p1, or
+        # after p2 in the order from p1, or after p3 in the order from p2
+        e3 = (ranks > ranks[p1][:, None]) | after[p1, p2] | after[p2, p3]
         c = np.arange(len(p1))
         span_a = dmat[p2, p3]
         probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]

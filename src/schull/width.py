@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -114,33 +113,6 @@ def _witness_groups(ds: StochasticDataset):
             yield tuple(plist), c, left * pi[c] * none_after, after | excl
 
 
-def witness_simplex_decomposition(
-    ds: StochasticDataset,
-) -> Iterator[tuple[tuple[int, ...], float, tuple[int, ...], tuple[int, ...]]]:
-    """All witness simplices with positive probability, grouped by prefix.
-
-    Yields ``(vertex_list, prob, excluded, free)``: the construction order,
-    the probability that it is the realized witness simplex, the indices
-    forced absent, and the unconstrained indices.  The cells partition the
-    full-dimensional realizations, so the probabilities sum to the
-    probability that a realization is full-dimensional.  The witness
-    estimator sums over ``_witness_groups``, which this flattens, and the
-    sampling estimator samples each cell's free points.
-    """
-    for prefix, last, probs, excluded in _witness_groups(ds):
-        free = ~excluded
-        free[:, list(prefix)] = False
-        free[np.arange(last.size), last] = False
-        for v, prob, ex, fr in zip(last.tolist(), probs.tolist(), excluded, free):
-            if prob > 0.0:
-                yield (
-                    prefix + (v,),
-                    prob,
-                    tuple(np.flatnonzero(ex).tolist()),
-                    tuple(np.flatnonzero(fr).tolist()),
-                )
-
-
 def expected_width_witness(ds: StochasticDataset) -> float:
     """Expected witness-simplex width, summed over the decomposition's cells.
 
@@ -217,9 +189,10 @@ def expected_width_fpras(
 ) -> float:
     """Estimate the expected hull width, cell by cell.
 
-    The cells of ``witness_simplex_decomposition``, the same ones the
-    witness estimator sums over, partition the full-dimensional
-    realizations.  A cell whose free points F have 2^|F| <= m
+    The cells of ``_witness_groups`` with positive probability, the same
+    ones the witness estimator sums over, partition the full-dimensional
+    realizations; a cell's free points are those neither forced absent nor
+    on its simplex.  A cell whose free points F have 2^|F| <= m
     sub-realizations, m the per-cell sample count, is summed exactly over
     them, which costs fewer width evaluations than m draws and adds no
     variance.  Any other cell samples the width by drawing its free points
@@ -240,22 +213,30 @@ def expected_width_fpras(
     if n >= d + 1:
         m = fpras_sample_count(n, config.epsilon, gamma)
         pts, pi = ds.points, ds.probs
-        for verts, prob, _excluded, free in witness_simplex_decomposition(ds):
-            base = tuple(sorted(verts))
-            k = len(free)
-            if 1 << k <= m:
-                # every sub-realization once: the simplex present, free[j] at bit j
-                simplex = np.arange(k, k + d + 1)
-                widths = _subset_widths(pts[list(free + base)], k, simplex)
-                total += prob * _ordered_sum(0.0, _subset_probs(pi[list(free)]), widths)
-                continue
-            sampled += 1
-            rng = rng_stream(config.seed, *base)
-            rows, hits = _count_rows(rng.random((m, k)) < pi[list(free)])
-            # one row per distinct sample: the simplex present, the free points drawn
-            present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
-            widths = _least_extent(pts[list(base + free)], present)
-            total += prob * (_ordered_sum(0.0, hits, widths) / m)
+        for prefix, last, probs, excluded in _witness_groups(ds):
+            # a cell's free points: neither forced absent nor simplex vertices
+            free_rows = ~excluded
+            free_rows[:, list(prefix)] = False
+            free_rows[np.arange(last.size), last] = False
+            for v, prob, row in zip(last.tolist(), probs.tolist(), free_rows):
+                if not prob > 0.0:
+                    continue
+                free = np.flatnonzero(row)
+                base = sorted(prefix + (v,))
+                k = free.size
+                if 1 << k <= m:
+                    # every sub-realization once: the simplex present, free[j] at bit j
+                    simplex = np.arange(k, k + d + 1)
+                    widths = _subset_widths(pts[[*free, *base]], k, simplex)
+                    total += prob * _ordered_sum(0.0, _subset_probs(pi[free]), widths)
+                    continue
+                sampled += 1
+                rng = rng_stream(config.seed, *base)
+                rows, hits = _count_rows(rng.random((m, k)) < pi[free])
+                # one row per distinct sample: the simplex present, the free points drawn
+                present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
+                widths = _least_extent(pts[[*base, *free]], present)
+                total += prob * (_ordered_sum(0.0, hits, widths) / m)
     if stats is not None:
         stats["sampled_cells"] = sampled
     return float(total)

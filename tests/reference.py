@@ -20,6 +20,7 @@ from schull.geometry import (
     dists_to_flat,
     lex_ranks,
 )
+from schull.width import _witness_groups
 
 
 def enumerate_realizations(ds) -> list[tuple[tuple[int, ...], float]]:
@@ -583,3 +584,19 @@ def expected_width_witness_naive(ds) -> float:
         if p > 0.0:
             total += p * simplex_width(ds.points[list(order)])
     return total
+
+
+def witness_cells(ds):
+    """The width decomposition's cells of positive probability, one tuple
+    each, flattened from ``schull.width._witness_groups``.
+
+    Yields ``(verts, prob, excluded, free)``: the construction order, the
+    probability that it is the realized witness simplex, the indices forced
+    absent and the rest of the indices off the simplex.
+    """
+    for prefix, last, probs, excluded in _witness_groups(ds):
+        for v, prob, ex in zip(last.tolist(), probs.tolist(), excluded):
+            if prob > 0.0:
+                verts = prefix + (v,)
+                free = [i for i in np.flatnonzero(~ex).tolist() if i not in verts]
+                yield verts, prob, tuple(np.flatnonzero(ex).tolist()), tuple(free)

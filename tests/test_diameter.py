@@ -230,6 +230,20 @@ def test_witness_builds_no_cubic_float_batches(rng):
     assert peak < 3 * 2**20
 
 
+def test_witness_order_table_built_one_row_at_a_time(rng):
+    # The n^3 order table is 1 MB of bools at n = 100; building it from
+    # (n, n, n) float temporaries traces about 16 MB, one source point at a
+    # time about 5 MB.
+    ds = random_dataset(rng, 100, 2)
+    tracemalloc.start()
+    try:
+        expected_diameter_witness(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_two_approx_brackets_oracle(rng):
     for _ in range(6):
         ds = random_dataset(rng, 7, 2)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import schull
 from schull import DatasetError, GeometryError, StochasticDataset
+from schull.geometry import EPS_GEO, distance_matrix
 
-from conftest import random_dataset
+from conftest import random_dataset, random_points
 from reference import (
     enumerate_realizations,
     pointset_width,
@@ -184,3 +185,55 @@ def test_witness_simplex_prob_square():
     assert witness_simplex_prob(ds, (0, 3, 1)) == 0.0  # wrong construction order
     with pytest.raises(DatasetError):
         witness_simplex_prob(ds, (0, 1))
+
+
+# --- width ---
+
+
+def test_width_known_shapes():
+    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert pointset_width(sq) == pytest.approx(1.0)
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+    assert pointset_width(tri) == pytest.approx(np.sqrt(3) / 2)
+    cube = np.array(
+        [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+    )
+    assert pointset_width(cube) == pytest.approx(1.0)
+    # unit regular tetrahedron: the opposite-edge slab wins over the heights
+    tet = np.array(
+        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
+    ) / np.sqrt(8)
+    assert pointset_width(tet) == pytest.approx(1.0 / np.sqrt(2))
+
+
+def test_width_degenerate_rank():
+    assert pointset_width(np.array([[0.0, 0.0], [1.0, 1.0]])) == 0.0
+    assert pointset_width(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)) == 0.0
+    assert pointset_width(np.array([[2.0, 2.0]])) == 0.0
+
+
+def test_width_rigid_motion_invariant(rng):
+    for d in (2, 3):
+        pts = random_points(rng, 14, d)
+        w0 = pointset_width(pts)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        moved = pts @ q.T + rng.normal(size=d)
+        assert pointset_width(moved) == pytest.approx(w0, rel=1e-9)
+
+
+def test_width_is_min_directional_extent(rng):
+    for d in (2, 3):
+        pts = random_points(rng, 12, d)
+        w = pointset_width(pts)
+        dirs = rng.normal(size=(400, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ext = (pts @ dirs.T).max(axis=0) - (pts @ dirs.T).min(axis=0)
+        assert w <= ext.min() + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=4, max_value=16), st.integers(min_value=0, max_value=2**31))
+def test_width_at_most_diameter(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 2))
+    assert pointset_width(pts) <= distance_matrix(pts).max() + EPS_GEO

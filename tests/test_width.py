@@ -20,7 +20,7 @@ from schull import (
 )
 from schull.dataset import rng_stream
 from schull.geometry import _least_extent, lex_ranks
-from schull.width import _count_rows, _witness_groups, witness_simplex_decomposition
+from schull.width import _count_rows, _witness_groups
 
 from conftest import grid_dataset, random_dataset, random_points
 from reference import (
@@ -31,6 +31,7 @@ from reference import (
     pointset_width,
     recover_vertex_list,
     simplex_width,
+    witness_cells,
     witness_simplex,
     witness_simplex_prob,
     witness_width_by_realization,
@@ -86,7 +87,7 @@ def test_decomposition_mass_is_full_rank_probability(rng):
     cases += [grid_dataset(rng, n, d) for n, d in [(7, 2), (6, 3)]]
     for ds in cases:
         d = ds.dim
-        mass = sum(p for _, p, _, _ in witness_simplex_decomposition(ds))
+        mass = sum(p for _, p, _, _ in witness_cells(ds))
         expect = expectation_by_realization(
             ds, lambda idx: float(affine_rank(ds.points[idx])[0] == d))
         assert mass == pytest.approx(expect, abs=1e-11)
@@ -95,7 +96,7 @@ def test_decomposition_mass_is_full_rank_probability(rng):
 def test_decomposition_partition_consistency(rng):
     cases = [random_dataset(rng, 6, 2), grid_dataset(rng, 7, 2), grid_dataset(rng, 6, 3)]
     for ds in cases:
-        for verts, prob, excluded, free in witness_simplex_decomposition(ds):
+        for verts, prob, excluded, free in witness_cells(ds):
             assert witness_simplex_prob(ds, verts) == pytest.approx(prob, abs=1e-12)
             covered = set(verts) | set(excluded) | set(free)
             assert covered == set(range(len(ds)))
@@ -110,7 +111,7 @@ def test_decomposition_partitions_realizations(rng):
     cases += [grid_dataset(rng, n, d) for n, d in shapes]
     for ds in cases:
         d = ds.dim
-        cells = list(witness_simplex_decomposition(ds))
+        cells = list(witness_cells(ds))
         full_rank = 0
         for idx, _pr in enumerate_realizations(ds):
             idx = list(idx)
@@ -154,7 +155,7 @@ def test_mask_candidates_recover_to_their_order(rng):
         assert prefixes == sorted(set(prefixes))
         for prefix, last in groups:
             assert ranks[prefix[0]] > ranks[list(prefix[1:]) + last.tolist()].max()
-        for verts, _prob, _excluded, _free in witness_simplex_decomposition(ds):
+        for verts, _prob, _excluded, _free in witness_cells(ds):
             assert recover_vertex_list(ds.points, verts) == verts
             accepted += 1
     assert accepted > 100
@@ -298,7 +299,7 @@ def _fpras_reference(ds, cfg):
     pts, pi = ds.points, ds.probs
     m = fpras_sample_count(len(ds), cfg.epsilon, cfg.gamma_override)
     total, sampled = 0.0, 0
-    for verts, prob, _excluded, free in witness_simplex_decomposition(ds):
+    for verts, prob, _excluded, free in witness_cells(ds):
         base, free = sorted(verts), np.array(free, dtype=int)
         if 2 ** len(free) <= m:
             rows = list(product((False, True), repeat=len(free)))
@@ -375,16 +376,21 @@ def _fpras_bit_cases(rng):
     """Seeded (dataset, config) pairs that sample cells.  At eps 0.5 and
     gamma 0.1 one row is drawn per cell, so every cell with a free point is
     sampled; at smaller eps the sampled cells draw 6 to 1,056 rows, which
-    repeat."""
+    repeat.  The width-witness sets follow, each summed all-exact at the
+    theoretical gamma and sampled at eps 0.5, gamma 0.1: exact distance
+    ties, zero-probability cells, degenerate flats and an n = d set."""
     d2, d3 = random_dataset(rng, 12, 2), random_dataset(rng, 9, 3)
     d2n14 = random_dataset(rng, 14, 2)
-    return [
+    cases = [
         (d2, FprasConfig(0.5, gamma_override=0.1)),
         (d3, FprasConfig(0.5, gamma_override=0.1)),
         (d2, FprasConfig(0.1, gamma_override=0.1)),
         (d3, FprasConfig(0.2, seed=3, gamma_override=0.1)),
         (d2n14, FprasConfig(0.1, gamma_override=4.0)),
     ]
+    for ds in _witness_bit_cases(rng):
+        cases += [(ds, FprasConfig(0.25)), (ds, FprasConfig(0.5, gamma_override=0.1))]
+    return cases
 
 
 def test_fpras_values_pinned(rng):
@@ -400,6 +406,13 @@ def test_fpras_values_pinned(rng):
         ("0x1.11d4b8c9fbd2ap+0", 165), ("0x1.9e804d665b91dp-2", 70),
         ("0x1.10cdec47407a9p+0", 35), ("0x1.a19b6c815ca2ap-2", 15),
         ("0x1.122198ae19d55p+0", 1),
+        ("0x1.912b6c4b8e8dcp-1", 0), ("0x1.9b8574635a5d4p-1", 165),
+        ("0x1.890b05e1bd444p-2", 0), ("0x1.91d919c6c35aap-2", 70),
+        ("0x1.d7bdf662947fcp+0", 0), ("0x1.d934d1a1053e2p+0", 162),
+        ("0x1.93f38477e9e40p-1", 0), ("0x1.9bf2407e666d2p-1", 117),
+        ("0x1.85e7d5c3ec551p-2", 0), ("0x1.8186e5076eb7bp-2", 32),
+        ("0x1.06af87def7a16p-2", 0), ("0x1.06af87def7a17p-2", 15),
+        ("0x0.0p+0", 0), ("0x0.0p+0", 0),
     ]
 
 
@@ -408,7 +421,7 @@ def test_fpras_exact_up_to_sample_count(rng):
     # sampled.
     n, eps = 9, 0.2
     ds = random_dataset(rng, n, 2)
-    sizes = [len(cell[3]) for cell in witness_simplex_decomposition(ds)]
+    sizes = [len(cell[3]) for cell in witness_cells(ds)]
     k = max(sizes)
     stats = {}
     v = expected_width_fpras(
