@@ -72,20 +72,19 @@ def _half_plane_empty(vec, omp, ids, fixed=()) -> tuple[np.ndarray, np.ndarray]:
     if rad[near] <= EPS_GEO:
         raise _on_centre(fixed, int(ids[near]))
     theta = np.arctan2(vec[:, 1], vec[:, 0])
-    if m >= 2:
-        folded = np.mod(theta, math.pi)
-        fo = np.argsort(folded, kind="stable")
-        gaps = np.diff(folded[fo], append=folded[fo[0]] + math.pi)
-        g = int(np.argmin(gaps))
-        if gaps[g] <= ANG_EPS:
-            a, b = sorted((int(ids[fo[g]]), int(ids[fo[(g + 1) % m]])))
-            if fixed:
-                raise GeometryError(
-                    f"dataset points {sorted(fixed + (a, b))} lie on a common hyperplane"
-                )
+    folded = np.mod(theta, math.pi)
+    fo = np.argsort(folded, kind="stable")
+    gaps = np.diff(folded[fo], append=folded[fo[0]] + math.pi)
+    g = int(np.argmin(gaps))
+    if gaps[g] <= ANG_EPS:
+        a, b = sorted((int(ids[fo[g]]), int(ids[fo[(g + 1) % m]])))
+        if fixed:
             raise GeometryError(
-                f"dataset points {a} and {b} are collinear with the query point"
+                f"dataset points {sorted(fixed + (a, b))} lie on a common hyperplane"
             )
+        raise GeometryError(
+            f"dataset points {a} and {b} are collinear with the query point"
+        )
     order = np.argsort(theta, kind="stable")
     ts = theta[order]
     zero_s, log_s = _zero_log_split(omp[order])

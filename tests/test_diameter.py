@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from schull import (
 )
 import schull.diameter
 from schull.diameter import double_simplex, regular_simplex
+from schull.geometry import after_in_order, distance_matrix, lex_ranks
 
 from conftest import grid_dataset, random_dataset, random_points
 from reference import (
@@ -194,6 +196,28 @@ def _witness_bit_cases(rng):
     cycle = [(k, (k + 1) % 8) for k in range(8)] + [(0, 4), (2, 6)]
     cases.append(hardness_instance(8, cycle).dataset)
     return cases
+
+
+def test_witness_triples_match_brute_force(rng):
+    # The valid prefixes straight from their definition, one ordered
+    # (p1, p2, p3) at a time; the sum tests see them only through the total.
+    cases = [ds.points for ds in _witness_bit_cases(rng)]
+    cases += [random_points(rng, 1, 2), random_points(rng, 2, 3), random_points(rng, 9, 1)]
+    for pts in cases:
+        n = len(pts)
+        dmat = distance_matrix(pts)
+        ranks = lex_ranks(pts)
+        # after[b, a]: the points after a in the order from b
+        after = np.array([[after_in_order(dmat[b], dmat[b, a], ranks, ranks[a])
+                           for a in range(n)] for b in range(n)])
+        want = []
+        for p1, p2, p3 in product(range(n), repeat=3):
+            e3 = (ranks > ranks[p1]) | after[p1, p2] | after[p2, p3]
+            if p2 != p1 and not e3[[p1, p2, p3]].any():
+                want.append((p1, p2, p3))
+        got = schull.diameter._witness_triples(after, ranks)
+        assert got.shape == (3, len(want))
+        assert got.T.tolist() == [list(t) for t in want]
 
 
 def test_witness_chunks_do_not_change_bits(rng, monkeypatch):

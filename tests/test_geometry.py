@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from schull import CapabilityError, GeometryError
+from schull import GeometryError
 from schull.geometry import dists_to_flat, lex_ranks, project_orthocomplement
 
 from conftest import random_points
-from reference import affine_rank, convex_hull
 
 
 def test_lex_ranks_match_pairwise_order(rng):
@@ -63,101 +62,3 @@ def test_project_orthocomplement_degenerate():
         project_orthocomplement(
             np.zeros((1, 3)), [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
         )
-
-
-def test_affine_rank_cases(rng):
-    assert affine_rank(np.zeros((1, 3)))[0] == 0
-    assert affine_rank([[0.0, 0.0], [1.0, 1.0]])[0] == 1
-    assert affine_rank([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])[0] == 2
-    assert affine_rank(random_points(rng, 9, 3))[0] == 3
-
-
-# --- convex hull census ---
-
-
-def test_hull_square():
-    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    h = convex_hull(sq)
-    assert h.dim_of_hull == 2
-    assert h.face_counts == (4, 4)
-    assert sorted(map(tuple, h.vertices.tolist())) == sorted(map(tuple, sq.tolist()))
-
-
-def test_hull_square_with_interior_point():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
-    h = convex_hull(pts)
-    assert h.face_counts == (4, 4)
-    assert (0.5, 0.5) not in set(map(tuple, h.vertices.tolist()))
-
-
-def test_hull_collinear_and_point():
-    seg = convex_hull(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]))
-    assert seg.dim_of_hull == 1
-    assert seg.face_counts == (2, 1)
-    pt = convex_hull(np.array([[3.0, 4.0]]))
-    assert pt.dim_of_hull == 0
-    assert pt.face_counts == (1, 0)
-
-
-def test_hull_boundary_collinear_point_not_vertex():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    h = convex_hull(pts)
-    assert h.face_counts == (3, 3)
-    assert 2 not in h.vertices.tolist()
-
-
-def test_hull_cube_tetra_octa():
-    cube = np.array(
-        [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
-    )
-    h = convex_hull(cube)
-    assert h.face_counts == (8, 12, 6)
-    tet = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-    assert convex_hull(tet).face_counts == (4, 6, 4)
-    octa = np.array(
-        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-        dtype=float,
-    )
-    assert convex_hull(octa).face_counts == (6, 12, 8)
-
-
-def test_hull_degenerate_in_3d():
-    planar = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-    h = convex_hull(planar)
-    assert h.dim_of_hull == 2
-    assert h.face_counts == (4, 4, 1)
-    tri = convex_hull(planar[:3])
-    assert tri.face_counts == (3, 3, 1)
-    seg = convex_hull(np.array([[0, 0, 0], [1, 2, 3]], dtype=float))
-    assert seg.face_counts == (2, 1, 0)
-    pt = convex_hull(np.array([[5, 5, 5]], dtype=float))
-    assert pt.face_counts == (1, 0, 0)
-
-
-def test_hull_euler_on_random_clouds(rng):
-    for n in (5, 9, 15, 30):
-        pts = random_points(rng, n, 3)
-        v, e, f = convex_hull(pts).face_counts
-        assert v - e + f == 2
-
-
-def test_hull_interior_points_never_vertices(rng):
-    pts = random_points(rng, 25, 2)
-    h = convex_hull(pts)
-    verts = set(map(tuple, h.vertices.tolist()))
-    varr = np.array(sorted(verts))
-    centroid = varr.mean(axis=0)
-    # points strictly inside must be excluded; verify via support comparison
-    for i in range(25):
-        if tuple(pts[i].tolist()) not in verts:
-            direction = pts[i] - centroid
-            nd = np.linalg.norm(direction)
-            if nd < 1e-12:
-                continue
-            direction /= nd
-            assert pts[i] @ direction <= (varr @ direction).max() + 1e-9
-
-
-def test_hull_dimension_guard():
-    with pytest.raises(CapabilityError):
-        convex_hull(np.zeros((3, 4)))
