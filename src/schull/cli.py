@@ -209,7 +209,7 @@ def _cmd_verify(args) -> int:
         print(f"relative_error={rel!r} (no deterministic bracket for {method})")
         return EXIT_OK
     lo, hi = bounds
-    slack = VERIFY_REL_SLACK * max(abs(lo), abs(hi), 1.0)
+    slack = VERIFY_REL_SLACK * max(abs(lo), abs(hi), abs(truth))
     ok = (lo - slack) <= truth <= (hi + slack)
     print(f"stat={args.stat} method={method} value={value!r} oracle={truth!r}")
     print(f"bracket=[{lo!r}, {hi!r}] contains_oracle={'yes' if ok else 'NO'}")

@@ -20,6 +20,7 @@ complexity is the sum of the face census.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterator
 
 import numpy as np
@@ -229,6 +230,39 @@ def _ordered_sum(total: float, prob: np.ndarray, value: np.ndarray) -> float:
     terms = prob * value
     terms[0] += total
     return float(np.cumsum(terms, out=terms)[-1])
+
+
+def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
+    """Product of the entries strictly after each position, along the last axis.
+
+    Over absence probabilities in a sorted order, with 1 for points that do
+    not count, entry k is the probability that no counted point after
+    position k is present.
+    """
+    out = np.empty(w.shape)
+    out[..., -1] = 1.0
+    # out[k - 1] = w[-1] * ... * w[k], multiplied from the far end
+    np.cumprod(w[..., :0:-1], axis=-1, out=out[..., -2::-1])
+    return out
+
+
+def _box_diagonal(pts: np.ndarray) -> float:
+    """Bounding-box diagonal: no distance, spread or width of the points exceeds it."""
+    return float(np.sqrt(np.square(np.ptp(pts, axis=0)).sum()))
+
+
+def _negligible(bound, total: float):
+    """Whether terms of at most ``bound`` each (elementwise) leave ``total`` as it is.
+
+    In float64 with round-to-nearest, total + t == total for
+    0 <= t < ulp(total) / 2 (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., §2.1), and a sum of non-negative terms only grows,
+    its ulp with it.  So once no term left can reach half an ulp, the rest
+    of the sum is a no-op and cutting it keeps every bit.  The factor 4
+    covers rounding in the bound and the terms; at total = 0 half an ulp
+    rounds to 0, so nothing is negligible.
+    """
+    return 4.0 * bound < 0.5 * math.ulp(total)
 
 
 def _diameter_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:

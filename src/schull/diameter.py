@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StochasticDataset, decode_text, oracle_expectation
+from .dataset import _box_diagonal, _exclusive_suffix_product, _negligible
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import after_in_order, distance_matrix, lex_ranks
 
@@ -25,20 +26,6 @@ from .geometry import after_in_order, distance_matrix, lex_ranks
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
 
 TWO_APPROX_FACTOR = 2.0
-
-
-def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
-    """Product of the entries strictly after each position, along the last axis.
-
-    Over absence probabilities in a sorted order, with 1 for points that do
-    not count, entry k is the probability that no counted point after
-    position k is present.
-    """
-    out = np.empty(w.shape)
-    out[..., -1] = 1.0
-    # out[k - 1] = w[-1] * ... * w[k], multiplied from the far end
-    np.cumprod(w[..., :0:-1], axis=-1, out=out[..., -2::-1])
-    return out
 
 
 def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -99,7 +86,10 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     n^3 bools plus those rows: a tracemalloc peak of 0.8 MB at n = 50 and
     3.9 MB at n = 100 on random planar sets.  Each prefix's term is a dot
     product over its full-length row, added on its own in prefix order, so
-    the batch size does not change the result.
+    the batch size does not change the result.  p1 is the lex-largest
+    present point, so a prefix's term is at most pi[p1] times the chance
+    that no lex-larger point is present times the bounding-box diagonal;
+    each batch drops the prefixes whose bound cannot move the running total.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -123,9 +113,13 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     for b in range(n):
         after[b] = after_in_order(dmat[b], dmat[b][:, None], ranks, ranks[:, None])
     triples = _witness_triples(after, ranks)
+    top = pi * _exclusive_suffix_product(omp[by_rank])[ranks] * _box_diagonal(pts)
     total = 0.0
     for s in range(0, triples.shape[1], _WITNESS_CHUNK):
-        p1, p2, p3 = triples[:, s : s + _WITNESS_CHUNK]
+        batch = triples[:, s : s + _WITNESS_CHUNK]
+        p1, p2, p3 = batch[:, ~_negligible(top[batch[0]], total)]
+        if not p1.size:
+            continue
         # the points each prefix already excludes: lex-larger than p1, or
         # after p2 in the order from p1, or after p3 in the order from p2
         e3 = (ranks > ranks[p1][:, None]) | after[p1, p2] | after[p2, p3]
@@ -171,12 +165,16 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     The critical pair of a realization is its smallest-index point together
     with the farthest point from it (distance ties go to the lex-larger
     partner).  Per realization that distance is within [diam/2, diam], so
-    the expectation inherits the bracket.  O(n^2 log n).
+    the expectation inherits the bracket.  O(n^2 log n) at worst.
 
     Anchors are taken ``_TWO_APPROX_BLOCK`` rows at a time against the
     partners after the block's first row, so working memory is O(block * n)
     and no n x n table is built.  Each anchor's term is added on its own in
-    index order, as a dot product over a full-length row.
+    index order, as a dot product over a full-length row.  Anchor a's term
+    is at most pre[a] times the bounding-box diagonal and pre never grows,
+    so the loop stops at the first block whose bound is ``_negligible``:
+    after 64 of 2,000 anchors on a random planar set with probabilities in
+    [0.2, 0.9], and one block after a probability-1 point (pre becomes 0).
     """
     n = len(ds)
     pts, pi = ds.points, ds.probs
@@ -184,8 +182,11 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     ranks = lex_ranks(pts)
     by_rank = np.argsort(ranks)
     pre = np.concatenate([[1.0], np.cumprod(omp)])  # pre[i] = P[no point below index i]
+    reach = _box_diagonal(pts)
     total = 0.0
     for a in range(0, n - 1, _TWO_APPROX_BLOCK):
+        if _negligible(pre[a] * reach, total):
+            break  # anchor a and every later one add at most pre[a] * reach
         anchors = np.arange(a, min(a + _TWO_APPROX_BLOCK, n - 1))
         cols = by_rank[by_rank > a]  # partners j > a, ascending lex rank
         dist = distance_matrix(pts[anchors], pts[cols])

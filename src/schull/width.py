@@ -29,13 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    StochasticDataset,
-    _ordered_sum,
-    _subset_probs,
-    _subset_widths,
-    rng_stream,
-)
+from .dataset import StochasticDataset, _ordered_sum, _subset_probs, _subset_widths
+from .dataset import _box_diagonal, _exclusive_suffix_product, _negligible, rng_stream
 from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
@@ -54,18 +49,19 @@ def width_simplex_factor(d: int) -> float:
     return 0.5 * 5.0 ** (-(d - 1))
 
 
-def _witness_groups(ds: StochasticDataset):
-    """The decomposition's cells one construction prefix at a time.
+def _witness_groups(ds: StochasticDataset, ranks: np.ndarray, v0: int):
+    """The decomposition's cells led by first vertex v0, one construction
+    prefix at a time; ``ranks`` are the points' ``lex_ranks``.
 
     Yields ``(prefix, last, probs, excluded)``: the first d vertices, the
     array of last vertices, their cells' probabilities and the
     (len(last), n) mask of the points each cell forces absent, prefixes in
-    ascending lexicographic order.
+    ascending lexicographic order.  Callers loop over v0 in index order.
 
     Prefixes grow one vertex at a time, as the construction does, one tree
-    level at a time per first vertex v0.  A level holds its prefixes (B, k),
-    their exclusion masks (B, n) and distances to their flats (B, n), from
-    one ``dists_to_flat`` call; a prefix with a degenerate flat is dropped.
+    level at a time.  A level holds its prefixes (B, k), their exclusion
+    masks (B, n) and distances to their flats (B, n), from one
+    ``dists_to_flat`` call; a prefix with a degenerate flat is dropped.
     Every point not yet excluded may be the next vertex; it excludes the
     points after it in the (distance to the prefix flat, lex) order, and a
     step that excludes a prefix vertex is dropped.  The (prefix, vertex)
@@ -77,40 +73,37 @@ def _witness_groups(ds: StochasticDataset):
     every earlier vertex and then lex-smaller, so it recovers to the prefix
     plus itself.
     """
-    pts, pi = ds.points, ds.probs
-    n, d = pts.shape
+    pts, pi, d = ds.points, ds.probs, ds.dim
     omp = 1.0 - pi
-    ranks = lex_ranks(pts)
-    for v0 in range(n):
-        prefix = np.array([[v0]])
-        excls = (ranks > ranks[v0])[None]
-        for k in range(1, d + 1):
-            ok, dists = dists_to_flat(pts, pts[prefix])
-            prefix, excls, dists = prefix[ok], excls[ok], dists[ok]
-            if k == d:
-                break
-            cand = ~excls
-            cand[np.arange(len(prefix))[:, None], prefix] = False
-            b, v = np.nonzero(cand)
-            step = excls[b] | after_in_order(dists[b], dists[b, v][:, None],
-                                             ranks, ranks[v][:, None])
-            keep = ~step[np.arange(len(b))[:, None], prefix[b]].any(axis=1)
-            prefix = np.column_stack([prefix[b], v])[keep]
-            excls = step[keep]
-        for plist, excl, dist in zip(prefix.tolist(), excls, dists):
-            last = ~excl & (dist > EPS_GEO)
-            last[plist] = False
-            c = np.flatnonzero(last)
-            if not c.size:
-                continue
-            after = after_in_order(dist, dist[c, None], ranks, ranks[c, None])
-            # Multiply far to near, one factor at a time, so the rounding is
-            # that of a suffix product over the sorted order.
-            far = np.lexsort((ranks, dist))[::-1]
-            w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
-            none_after = np.cumprod(w, axis=1)[:, -1]
-            left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
-            yield tuple(plist), c, left * pi[c] * none_after, after | excl
+    prefix = np.array([[v0]])
+    excls = (ranks > ranks[v0])[None]
+    for k in range(1, d + 1):
+        ok, dists = dists_to_flat(pts, pts[prefix])
+        prefix, excls, dists = prefix[ok], excls[ok], dists[ok]
+        if k == d:
+            break
+        cand = ~excls
+        cand[np.arange(len(prefix))[:, None], prefix] = False
+        b, v = np.nonzero(cand)
+        step = excls[b] | after_in_order(dists[b], dists[b, v][:, None],
+                                         ranks, ranks[v][:, None])
+        keep = ~step[np.arange(len(b))[:, None], prefix[b]].any(axis=1)
+        prefix = np.column_stack([prefix[b], v])[keep]
+        excls = step[keep]
+    for plist, excl, dist in zip(prefix.tolist(), excls, dists):
+        last = ~excl & (dist > EPS_GEO)
+        last[plist] = False
+        c = np.flatnonzero(last)
+        if not c.size:
+            continue
+        after = after_in_order(dist, dist[c, None], ranks, ranks[c, None])
+        # Multiply far to near, one factor at a time, so the rounding is
+        # that of a suffix product over the sorted order.
+        far = np.lexsort((ranks, dist))[::-1]
+        w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
+        none_after = np.cumprod(w, axis=1)[:, -1]
+        left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
+        yield tuple(plist), c, left * pi[c] * none_after, after | excl
 
 
 def expected_width_witness(ds: StochasticDataset) -> float:
@@ -120,14 +113,23 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     simplices' widths, from one width-kernel call.  The result is within
     [expected width / (2 * 5^(d-1)), expected width], restricted to
     full-dimensional realizations.
+
+    First vertex v0 is the lex-largest point of its cells, so they weigh at
+    most pi[v0] * P[no lex-larger point present] together; when that times
+    the bounding-box diagonal is ``_negligible``, v0's tree is not grown.
     """
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
-    pts, d = ds.points, ds.dim
+    pts, pi, d = ds.points, ds.probs, ds.dim
+    ranks = lex_ranks(pts)
+    top = pi * _exclusive_suffix_product(1.0 - pi[np.argsort(ranks)])[ranks] * _box_diagonal(pts)
     total = 0.0
-    for prefix, last, probs, _excluded in _witness_groups(ds):
-        verts = np.column_stack([np.broadcast_to(prefix, (last.size, d)), last])
-        total += float(probs @ _least_extent(pts[verts]))
+    for v0 in range(len(ds)):
+        if _negligible(top[v0], total):
+            continue
+        for prefix, last, probs, _excluded in _witness_groups(ds, ranks, v0):
+            verts = np.column_stack([np.broadcast_to(prefix, (last.size, d)), last])
+            total += float(probs @ _least_extent(pts[verts]))
     return total
 
 
@@ -212,8 +214,9 @@ def expected_width_fpras(
     total = 0.0
     if n >= d + 1:
         m = fpras_sample_count(n, config.epsilon, gamma)
-        pts, pi = ds.points, ds.probs
-        for prefix, last, probs, excluded in _witness_groups(ds):
+        pts, pi, ranks = ds.points, ds.probs, lex_ranks(ds.points)
+        groups = (g for v0 in range(n) for g in _witness_groups(ds, ranks, v0))
+        for prefix, last, probs, excluded in groups:
             # a cell's free points: neither forced absent nor simplex vertices
             free_rows = ~excluded
             free_rows[:, list(prefix)] = False

@@ -594,9 +594,11 @@ def witness_cells(ds):
     probability that it is the realized witness simplex, the indices forced
     absent and the rest of the indices off the simplex.
     """
-    for prefix, last, probs, excluded in _witness_groups(ds):
-        for v, prob, ex in zip(last.tolist(), probs.tolist(), excluded):
-            if prob > 0.0:
-                verts = prefix + (v,)
-                free = [i for i in np.flatnonzero(~ex).tolist() if i not in verts]
-                yield verts, prob, tuple(np.flatnonzero(ex).tolist()), tuple(free)
+    ranks = lex_ranks(ds.points)
+    for v0 in range(len(ds)):
+        for prefix, last, probs, excluded in _witness_groups(ds, ranks, v0):
+            for v, prob, ex in zip(last.tolist(), probs.tolist(), excluded):
+                if prob > 0.0:
+                    verts = prefix + (v,)
+                    free = [i for i in np.flatnonzero(~ex).tolist() if i not in verts]
+                    yield verts, prob, tuple(np.flatnonzero(ex).tolist()), tuple(free)

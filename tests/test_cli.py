@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from schull import fpras_gamma, load_dataset, oracle_expectation
+from schull import StochasticDataset, fpras_gamma, load_dataset, oracle_expectation
+from schull import save_dataset
 from schull import cli
 from schull.cli import main
 
@@ -163,6 +164,19 @@ def test_verify_passes(tmp_path, capsys, monkeypatch):
     value = oracle_expectation(load_dataset(path), "diameter")
     assert out == (f"stat=diameter method=oracle value={value!r} oracle={value!r}\n"
                    f"bracket=[{value!r}, {value!r}] contains_oracle=yes\n")
+
+
+def test_verify_slack_is_relative_at_tiny_scale(tmp_path, capsys, monkeypatch):
+    # At coordinates near 1e-10 every value is far below an absolute 1e-9
+    # slack; a bracket that misses the oracle by half must still fail.
+    ds = load_dataset(_gen(tmp_path, n=8))
+    path = tmp_path / "tiny.json"
+    save_dataset(StochasticDataset(ds.points * 1e-10, ds.probs), path)
+    truth = oracle_expectation(load_dataset(path), "diameter")
+    monkeypatch.setattr(cli, "expected_diameter_witness", lambda ds: 0.5 * truth)
+    rc = main(["verify", "--input", str(path), "--stat", "diameter", "--method", "witness"])
+    assert rc == 1
+    assert "contains_oracle=NO" in capsys.readouterr().out
 
 
 def test_verify_complexity_exact_3d(tmp_path, capsys):

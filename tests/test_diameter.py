@@ -183,6 +183,50 @@ def test_two_approx_builds_no_distance_table(rng):
     assert peak < 16 * 2**20
 
 
+def test_two_approx_builds_no_distance_table_without_stop(rng):
+    # At probabilities in [0.01, 0.05] the stop fires late or never, so
+    # nearly every anchor block runs; each still needs only (block, n) arrays.
+    ds = random_dataset(rng, 2000, 2, 0.01, 0.05)
+    tracemalloc.start()
+    try:
+        expected_diameter_two_approx(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _two_approx_bit_cases(rng):
+    """n = 2000 with probabilities in [0.2, 0.9], where the stop fires after
+    2 of 63 blocks; the same n in [0.01, 0.05], where it fires after 41;
+    n = 200 with a probability-1 point, after which every term is 0 (1 of
+    7); an integer grid with exact distance ties (2 of 10)."""
+    certain = random_dataset(rng, 200, 2)
+    probs = certain.probs.copy()
+    probs[3] = 1.0
+    return [random_dataset(rng, 2000, 2, 0.2, 0.9), random_dataset(rng, 2000, 2, 0.01, 0.05),
+            StochasticDataset(certain.points, probs), grid_dataset(rng, 300, 2, side=20)]
+
+
+def test_two_approx_values_pinned(rng):
+    # Bit patterns captured before the early stop: it may only cut terms
+    # that round away, so no bit moves.
+    got = [float.hex(expected_diameter_two_approx(ds)) for ds in _two_approx_bit_cases(rng)]
+    assert got == ["0x1.0eb003869dc15p+1", "0x1.f3b1b87ebe33cp+0",
+                   "0x1.11d97fadd54c0p+1", "0x1.652e85dc92ac3p+4"]
+
+
+def test_two_approx_stop_matches_per_row_reference(rng, monkeypatch):
+    # The stop fires mid-loop here; the uncut per-row sum must agree exactly.
+    ds = random_dataset(rng, 300, 2, 0.2, 0.9)
+    blocks = []
+    table = schull.diameter.distance_matrix
+    monkeypatch.setattr(schull.diameter, "distance_matrix",
+                        lambda *a: blocks.append(1) or table(*a))
+    assert expected_diameter_two_approx(ds) == _two_approx_per_row(ds)
+    assert 1 < len(blocks) < math.ceil(299 / schull.diameter._TWO_APPROX_BLOCK)
+
+
 def _witness_bit_cases(rng):
     """Seeded sets for the witness bit-identity tests: random and integer-grid
     sets, a set with probability-1 points (omp = 0 inside the exclusion and
@@ -239,6 +283,18 @@ def test_witness_values_pinned(rng):
         "0x1.10855408fa9b7p+1", "0x1.411fdce2d3bb1p+1", "0x1.7b6d0c4188301p+1",
         "0x1.2d8e28a1b8620p+2", "0x1.2e70de1a1cab5p+1", "0x1.9c98f48c6911dp+1",
     ]
+
+
+def test_witness_skip_values_pinned(rng, monkeypatch):
+    # Bit pattern captured before prefixes with a negligible p1 bound were
+    # dropped; the drop must fire on this set.
+    ds = random_dataset(rng, 70, 2)
+    dropped = []
+    test = schull.diameter._negligible
+    monkeypatch.setattr(schull.diameter, "_negligible",
+                        lambda b, t: dropped.append(np.sum(test(b, t))) or test(b, t))
+    assert float.hex(expected_diameter_witness(ds)) == "0x1.2bc66e18cc851p+1"
+    assert sum(dropped) > 0
 
 
 def test_witness_builds_no_cubic_float_batches(rng):

@@ -18,6 +18,7 @@ from schull import (
     oracle_expectation,
     width_simplex_factor,
 )
+import schull.width
 from schull.dataset import rng_stream
 from schull.geometry import _least_extent, lex_ranks
 from schull.width import _count_rows, _witness_groups
@@ -150,7 +151,8 @@ def test_mask_candidates_recover_to_their_order(rng):
         n, d = (7, 2) if k % 2 == 0 else (6, 3)
         ds = grid_dataset(rng, n, d) if k < 8 else random_dataset(rng, n, d)
         ranks = lex_ranks(ds.points)
-        groups = [(prefix, last) for prefix, last, _, _ in _witness_groups(ds)]
+        groups = [(prefix, last) for v0 in range(len(ds))
+                  for prefix, last, _, _ in _witness_groups(ds, ranks, v0)]
         prefixes = [prefix for prefix, _ in groups]
         assert prefixes == sorted(set(prefixes))
         for prefix, last in groups:
@@ -208,6 +210,18 @@ def test_width_witness_values_pinned(rng):
         "0x1.652ba58d7df21p-2", "0x1.1ba46ccca0a94p+0", "0x1.35c5186c20f50p+0",
         "0x0.0p+0",
     ]
+
+
+def test_width_witness_skip_values_pinned(rng, monkeypatch):
+    # Bit pattern captured before first vertices with a negligible bound
+    # were skipped; the skip must fire on this set.
+    ds = random_dataset(rng, 80, 2)
+    walked = []
+    groups = schull.width._witness_groups
+    monkeypatch.setattr(schull.width, "_witness_groups",
+                        lambda ds, ranks, v0: walked.append(v0) or groups(ds, ranks, v0))
+    assert float.hex(expected_width_witness(ds)) == "0x1.3ff21737b2e75p+0"
+    assert len(walked) < len(ds)
 
 
 def test_witness_walk_memory_per_first_vertex(rng):
