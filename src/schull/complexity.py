@@ -5,9 +5,10 @@ hull of a random realization), face probabilities (is a fixed simplex
 spanned by dataset points a face of the hull), and the expected face
 counts, exact for d = 2 and 3.  The counts need only the facet term,
 summed by one sweep over the hyperplanes through each (d-1)-subset of
-points; Euler's formula fixes the other face counts from it.  Every layer
-takes its products of absence probabilities from one zero-safe half-plane
-kernel, ``_half_plane_empty``.
+points; Euler's formula fixes the other face counts from it.  The sweep
+and the face probabilities work in one 2-d orthogonal complement of d-1
+points, ``_complement``.  Every layer takes its products of absence
+probabilities from one zero-safe half-plane kernel, ``_half_plane_empty``.
 
 Everything here assumes general position: distinct points, no d+1 of them
 on a common hyperplane, no query point coincident or collinear with data
@@ -25,7 +26,7 @@ import numpy as np
 
 from .dataset import StochasticDataset
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import EPS_GEO, HULL_DIMS, as_point, project_orthocomplement
+from .geometry import EPS_GEO, HULL_DIMS, as_point
 
 # Angular tolerance (radians) for direction coincidences in sweeps and
 # membership queries.
@@ -161,14 +162,36 @@ def membership_prob_2d(ds: StochasticDataset, q) -> float:
     return _cover_2d(ds.points - qv, ds.probs, range(len(ds)))
 
 
+def _complement(pts: np.ndarray, fixed: tuple[int, ...], idx) -> np.ndarray:
+    """2-d coordinates of the points ``idx``, relative to ``fixed[0]``, in the
+    orthogonal complement of the span of the d-1 points ``fixed``.
+
+    The frame is the identity at d = 2.  At d = 3 a right-handed frame
+    (f0, f1, axis = p_f1 - p_f0) puts the kernel's left side of b on the
+    positive side of axis x (p_b - p_f0); a coincident pair raises
+    GeometryError.
+    """
+    base = pts[fixed[0]]
+    if pts.shape[1] == 2:
+        frame = np.eye(2)
+    else:
+        axis = pts[fixed[1]] - base
+        nrm = np.linalg.norm(axis)
+        if nrm <= EPS_GEO:
+            raise GeometryError(f"dataset points {list(fixed)} coincide")
+        f0 = np.linalg.svd((axis / nrm).reshape(1, 3))[2][1]
+        frame = np.stack([f0, np.cross(axis / nrm, f0)])
+    return (pts[idx] - base) @ frame.T
+
+
 def face_prob(ds: StochasticDataset, face) -> float:
     """Probability that a simplex on dataset points is a face of the hull.
 
-    Supported face dimensions are d-1 (facets) and d-2: the simplex is a
-    face iff all its vertices are present and the realization projected
-    onto the orthogonal complement of the simplex's span leaves the
-    projected span point outside the projected hull.  The complement is
-    1- or 2-dimensional, where membership has closed forms.
+    Supported face dimensions are d-1 (facets) and d-2, for d = 2 and 3: the
+    simplex is a face iff its vertices are present and, in the sweep's 2-d
+    complement of its first d-1 vertices, the other present points leave the
+    origin (a (d-2)-face) outside their hull, or (a facet) on one side of
+    the line through the origin and the last vertex.
     """
     verts = tuple(int(v) for v in face)
     n = len(ds)
@@ -177,29 +200,36 @@ def face_prob(ds: StochasticDataset, face) -> float:
         raise DatasetError("face vertices must be distinct")
     if any(v < 0 or v >= n for v in verts):
         raise DatasetError("face vertex out of range")
+    if d not in HULL_DIMS:
+        raise CapabilityError(f"face_prob supports dimensions {HULL_DIMS}")
     k = len(verts) - 1
-    if k not in (d - 1, d - 2) or k < 0:
+    if k not in (d - 1, d - 2):
         raise CapabilityError(
             "face_prob supports faces of dimension d-1 and d-2 only"
         )
     rest = [i for i in range(n) if i not in verts]
-    pts = ds.points
+    pi = ds.probs
+    fixed = verts[:d - 1]
     if not rest:
         mem = 0.0
+    elif k == d - 2:
+        mem = _cover_2d(_complement(ds.points, fixed, rest), pi[rest], rest, verts)
     else:
-        images, q = project_orthocomplement(pts[rest], pts[list(verts)])
-        if d - k == 1:
-            mem = _cover_1d(images[:, 0] - q[0], ds.probs[rest], rest, verts)
-        else:
-            mem = _cover_2d(images - q, ds.probs[rest], rest, verts)
-    return float(np.prod(ds.probs[list(verts)])) * (1.0 - mem)
+        w = _complement(ds.points, fixed, [*rest, verts[-1]])
+        w_b, w_x = w[-1], w[:-1]
+        nrm = np.linalg.norm(w_b)
+        if nrm <= EPS_GEO:
+            raise _on_centre(fixed, verts[-1])
+        delta = (w_b[0] * w_x[:, 1] - w_b[1] * w_x[:, 0]) / nrm
+        mem = _cover_1d(delta, pi[rest], rest, verts)
+    return float(np.prod(pi[list(verts)])) * (1.0 - mem)
 
 
 def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
     """The hyperplanes through d dataset points, one group per (d-1)-subset.
 
     For each (d-1)-subset ``fixed`` the hyperplanes through it are the lines
-    through the origin of a 2-d orthogonal complement, one per other point,
+    through the origin of its 2-d ``_complement``, one per other point,
     and one half-plane kernel call gives both sides of each.  Yields
     (fixed, new, left, right): ``new`` holds the partners b > max(fixed),
     so each hyperplane fixed + (b,) comes once, in the group of its d-1
@@ -221,19 +251,7 @@ def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
         others = np.array([i for i in range(n) if i not in fixed], dtype=np.intp)
         if not len(others):
             continue
-        base = pts[fixed[0]]
-        if d == 2:
-            frame = np.eye(2)
-        else:
-            axis = pts[fixed[1]] - base
-            nrm = np.linalg.norm(axis)
-            if nrm <= EPS_GEO:
-                raise GeometryError(f"dataset points {list(fixed)} coincide")
-            # A right-handed frame (f0, f1, axis) puts the kernel's left
-            # side on the positive side of axis x (p_b - base).
-            f0 = np.linalg.svd((axis / nrm).reshape(1, 3))[2][1]
-            frame = np.stack([f0, np.cross(axis / nrm, f0)])
-        w = (pts[others] - base) @ frame.T
+        w = _complement(pts, fixed, others)
         left, right = _half_plane_empty(w, omp[others], others, fixed)
         new = others > fixed[-1]
         yield fixed, others[new], left[new], right[new]

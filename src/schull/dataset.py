@@ -126,12 +126,11 @@ def parse_dataset(text: str | bytes) -> StochasticDataset:
             probs.append(float(p))
         except OverflowError as exc:
             raise DatasetError(f"point {i}: number out of range: {exc}") from exc
-    try:
-        return StochasticDataset(coords, probs)
-    except DatasetError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise DatasetError(str(exc)) from exc
+        if not all(math.isfinite(v) for v in coords[-1]):
+            raise DatasetError(f"point {i}: non-finite coordinate")
+        if not math.isfinite(probs[-1]):
+            raise DatasetError(f"point {i}: non-finite probability")
+    return StochasticDataset(coords, probs)
 
 
 def dataset_to_json(ds: StochasticDataset) -> str:

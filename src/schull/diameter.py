@@ -243,13 +243,10 @@ def double_simplex(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     verts = regular_simplex(k)
     facet, apex = verts[:k], verts[k]
-    if k == 1:
-        mirror = 2.0 * facet[0] - apex
-    else:
-        # reflect the apex through the facet's flat
-        q, _ = np.linalg.qr((facet[1:] - facet[0]).T)
-        w = apex - facet[0]
-        mirror = facet[0] + 2.0 * (q @ (q.T @ w)) - w
+    # reflect the apex through the facet's flat (a point when k = 1)
+    q, _ = np.linalg.qr((facet[1:] - facet[0]).T)
+    w = apex - facet[0]
+    mirror = facet[0] + 2.0 * (q @ (q.T @ w)) - w
     return facet, apex, mirror
 
 

@@ -3,8 +3,7 @@
 Everything downstream (estimators, enumeration oracles, the sweep) is built
 on the helpers in this module: the (distance, lex) order, in which the
 lexicographic point order breaks distance ties, distance tables,
-distance-to-flat computations, orthogonal-complement projections and the
-width kernel.
+distance-to-flat computations and the width kernel.
 
 Ties and degeneracy are decided with a single absolute tolerance
 ``EPS_GEO``; inputs are expected to be desk-scale (coordinates up to ~1e3).
@@ -92,40 +91,6 @@ def dists_to_flat(points, spans) -> tuple[np.ndarray, np.ndarray]:
     w = pts - base
     w = w - (w @ q) @ np.swapaxes(q, 1, 2)
     return ok, np.linalg.norm(w, axis=2)
-
-
-def project_orthocomplement(points, spanning):
-    """Project points onto the orthogonal complement of a difference span.
-
-    ``spanning`` lists k+1 points; their k difference vectors must be
-    linearly independent.  Every point is mapped to its coordinates in an
-    orthonormal frame of the (d-k)-dimensional complement, so pairwise
-    distances orthogonal to the span are preserved and all spanning points
-    share one image.
-
-    Returns ``(images, span_image)`` where images has shape (m, d-k).
-    """
-    pts = as_points(points)
-    sp = as_points(spanning)
-    d = sp.shape[1]
-    if pts.size and pts.shape[1] != d:
-        raise GeometryError("project_orthocomplement: dimension mismatch")
-    k = len(sp) - 1
-    if k < 0:
-        raise GeometryError("project_orthocomplement: empty spanning set")
-    if k >= d:
-        raise GeometryError("project_orthocomplement: span must have dimension < d")
-    if k == 0:
-        comp = np.eye(d)
-    else:
-        diffs = (sp[1:] - sp[0]).T  # (d, k)
-        u, s, _ = np.linalg.svd(diffs, full_matrices=True)
-        if s.min() <= EPS_GEO:
-            raise GeometryError("project_orthocomplement: degenerate spanning set")
-        comp = u[:, k:]
-    images = pts @ comp if pts.size else np.zeros((len(pts), d - k))
-    span_image = sp[0] @ comp
-    return images, span_image
 
 
 _EXTENT_CHUNK = 1 << 14  # most values per point set in a width-kernel array

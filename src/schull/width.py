@@ -212,34 +212,33 @@ def expected_width_fpras(
         gamma = config.gamma_override
     sampled = 0
     total = 0.0
-    if n >= d + 1:
-        m = fpras_sample_count(n, config.epsilon, gamma)
-        pts, pi, ranks = ds.points, ds.probs, lex_ranks(ds.points)
-        groups = (g for v0 in range(n) for g in _witness_groups(ds, ranks, v0))
-        for prefix, last, probs, excluded in groups:
-            # a cell's free points: neither forced absent nor simplex vertices
-            free_rows = ~excluded
-            free_rows[:, list(prefix)] = False
-            free_rows[np.arange(last.size), last] = False
-            for v, prob, row in zip(last.tolist(), probs.tolist(), free_rows):
-                if not prob > 0.0:
-                    continue
-                free = np.flatnonzero(row)
-                base = sorted(prefix + (v,))
-                k = free.size
-                if 1 << k <= m:
-                    # every sub-realization once: the simplex present, free[j] at bit j
-                    simplex = np.arange(k, k + d + 1)
-                    widths = _subset_widths(pts[[*free, *base]], k, simplex)
-                    total += prob * _ordered_sum(0.0, _subset_probs(pi[free]), widths)
-                    continue
-                sampled += 1
-                rng = rng_stream(config.seed, *base)
-                rows, hits = _count_rows(rng.random((m, k)) < pi[free])
-                # one row per distinct sample: the simplex present, the free points drawn
-                present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
-                widths = _least_extent(pts[[*base, *free]], present)
-                total += prob * (_ordered_sum(0.0, hits, widths) / m)
+    m = fpras_sample_count(n, config.epsilon, gamma)
+    pts, pi, ranks = ds.points, ds.probs, lex_ranks(ds.points)
+    groups = (g for v0 in range(n) for g in _witness_groups(ds, ranks, v0))
+    for prefix, last, probs, excluded in groups:
+        # a cell's free points: neither forced absent nor simplex vertices
+        free_rows = ~excluded
+        free_rows[:, list(prefix)] = False
+        free_rows[np.arange(last.size), last] = False
+        for v, prob, row in zip(last.tolist(), probs.tolist(), free_rows):
+            if not prob > 0.0:
+                continue
+            free = np.flatnonzero(row)
+            base = sorted(prefix + (v,))
+            k = free.size
+            if 1 << k <= m:
+                # every sub-realization once: the simplex present, free[j] at bit j
+                simplex = np.arange(k, k + d + 1)
+                widths = _subset_widths(pts[[*free, *base]], k, simplex)
+                total += prob * _ordered_sum(0.0, _subset_probs(pi[free]), widths)
+                continue
+            sampled += 1
+            rng = rng_stream(config.seed, *base)
+            rows, hits = _count_rows(rng.random((m, k)) < pi[free])
+            # one row per distinct sample: the simplex present, the free points drawn
+            present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
+            widths = _least_extent(pts[[*base, *free]], present)
+            total += prob * (_ordered_sum(0.0, hits, widths) / m)
     if stats is not None:
         stats["sampled_cells"] = sampled
     return float(total)

@@ -12,7 +12,6 @@ import pytest
 
 from schull import StochasticDataset
 from schull.complexity import _sweep_groups
-from schull.geometry import project_orthocomplement
 
 from reference import expectation_by_realization
 
@@ -80,7 +79,9 @@ def face_prob_enumeration(ds, verts):
         if k == 0:
             images, q = pts[rest], pts[verts[0]]
         else:
-            images, q = project_orthocomplement(pts[rest], pts[list(verts)])
+            # a d = 3 edge: coordinates in the plane orthogonal to it
+            basis = np.linalg.svd((pts[verts[1]] - pts[verts[0]]).reshape(1, 3))[2][1:]
+            images, q = pts[rest] @ basis.T, pts[verts[0]] @ basis.T
 
     def is_face(idx):
         if any(v not in idx for v in verts):

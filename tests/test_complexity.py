@@ -173,6 +173,30 @@ def test_sweep_matches_brute(rng, n, d):
             assert gn == pytest.approx(bn, abs=1e-12)
 
 
+# float.hex of expected_face_counts on one random set per dimension and its
+# variant with point 1 = point 0 + 0.7 e1, as in test_sweep_matches_brute.
+# The seed makes each variant change the order type; a change to the
+# sweep's frame or its summation order moves these bits.
+_SWEEP_PINS = [
+    ["0x1.0e6ff5ed6d873p+2", "0x1.0cf6b9cd7ba2ep+2"],
+    ["0x1.0cb9a70d7fbf5p+2", "0x1.0b406aed8ddb0p+2"],
+    ["0x1.a5944707ccb75p+1", "0x1.0e44ba2ad9f6bp+2", "0x1.31b132bd20062p+1"],
+    ["0x1.aa791a04c022ap+1", "0x1.159bf6a64717bp+2", "0x1.3b7ad8b706dccp+1"],
+]
+
+
+def test_sweep_bits_pinned():
+    rng = np.random.default_rng(20170705)
+    got = []
+    for n, d in ((9, 2), (7, 3)):
+        ds = random_dataset(rng, n, d)
+        pts = ds.points.copy()
+        pts[1] = pts[0] + 0.7 * np.eye(d)[0]
+        for case in (ds, StochasticDataset(pts, ds.probs)):
+            got.append([float(v).hex() for v in expected_face_counts(case)])
+    assert got == _SWEEP_PINS
+
+
 def test_sweep_with_certain_points(rng):
     # probability-1 points force the kernel's zero-count branch
     for d in (2, 3):
@@ -208,6 +232,9 @@ def test_sweep_degenerate_inputs():
         face_prob(collinear, (0,))
     with pytest.raises(GeometryError, match=r"point 3 lies on the affine span of .*\[0, 1, 2\]"):
         face_prob(StochasticDataset(cube, [0.5] * 8), (0, 1, 2))
+    # a facet whose last vertex lies on the span of the others
+    with pytest.raises(GeometryError, match=r"point 2 lies on the affine span of .*\[0, 1\]"):
+        face_prob(collinear3, (0, 1, 2))
 
 
 def _subface_sum(ds):

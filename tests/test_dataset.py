@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from itertools import product
 from pathlib import Path
@@ -110,6 +111,14 @@ def test_parse_reports_point_index():
     )
     with pytest.raises(DatasetError, match="1"):
         parse_dataset(bad)
+    # JSON Infinity and NaN parse as floats; the point holding one is named
+    for coords, prob, what in [([math.inf], 0.5, "coordinate"),
+                               ([math.nan], 0.5, "coordinate"),
+                               ([1.0], math.nan, "probability")]:
+        bad = json.dumps({"dim": 1, "points": [{"coords": [0.0], "prob": 0.5},
+                                               {"coords": coords, "prob": prob}]})
+        with pytest.raises(DatasetError, match=f"^point 1: non-finite {what}$"):
+            parse_dataset(bad)
 
 
 def test_readme_dataset_example_parses():

@@ -182,6 +182,9 @@ def test_width_witness_brackets_oracle(rng):
 def test_width_witness_small_n_zero(rng):
     ds = random_dataset(rng, 2, 2)
     assert expected_width_witness(ds) == 0.0
+    stats = {}
+    assert (expected_width_fpras(ds, FprasConfig(epsilon=0.25), stats=stats), stats) == (
+        0.0, {"sampled_cells": 0})
 
 
 def _witness_bit_cases(rng):
