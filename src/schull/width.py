@@ -15,11 +15,11 @@ simplex being the witness: summed exactly when the cell has at most as many
 sub-realizations as samples, a Monte Carlo average otherwise.
 
 Every width here is the least extent over the candidate directions of
-``geometry._least_extent``: the witness estimator evaluates all simplices
-of a construction prefix in one call of it, and the sampling estimator all
-distinct sampled subsets of a cell.  A cell summed exactly takes the widths
-of all its sub-realizations from the enumeration oracle's doubling table,
-``dataset._subset_widths``.
+``geometry._least_extent``: the witness estimator evaluates the simplices
+of a run of construction prefixes in one call of it, and the sampling
+estimator all distinct sampled subsets of a cell.  A cell summed exactly
+takes the widths of all its sub-realizations from the enumeration oracle's
+doubling table, ``dataset._subset_widths``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
+    _EXTENT_CHUNK,
     _least_extent,
     after_in_order,
     dists_to_flat,
@@ -49,14 +50,28 @@ def width_simplex_factor(d: int) -> float:
     return 0.5 * 5.0 ** (-(d - 1))
 
 
-def _witness_groups(ds: StochasticDataset, ranks: np.ndarray, v0: int):
-    """The decomposition's cells led by first vertex v0, one construction
-    prefix at a time; ``ranks`` are the points' ``lex_ranks``.
+def _runs(costs):
+    """Slices of consecutive items whose costs sum to at most ``_EXTENT_CHUNK``;
+    an item that costs more is a slice of its own."""
+    start, held = 0, 0
+    for i, cost in enumerate(costs.tolist()):
+        if i > start and held + cost > _EXTENT_CHUNK:
+            yield slice(start, i)
+            start, held = i, 0
+        held += cost
+    yield slice(start, len(costs))
 
-    Yields ``(prefix, last, probs, excluded)``: the first d vertices, the
-    array of last vertices, their cells' probabilities and the
-    (len(last), n) mask of the points each cell forces absent, prefixes in
-    ascending lexicographic order.  Callers loop over v0 in index order.
+
+def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
+    """The decomposition's cells led by first vertex v0, a run of
+    construction prefixes at a time; ``ranks`` are the points' ``lex_ranks``.
+
+    Yields ``(prefixes, bounds, verts, probs, excluded)``: the run's (B, d)
+    prefixes, in ascending lexicographic order; the B + 1 offsets of
+    their cells, prefix i owning cells bounds[i]:bounds[i + 1]; and per
+    cell, in the same order, its simplex (prefix plus last vertex), its
+    probability and the (cells, n) mask of the points it forces absent.
+    Runs without a cell are skipped.  Callers loop over v0 in index order.
 
     Prefixes grow one vertex at a time, as the construction does, one tree
     level at a time.  A level holds its prefixes (B, k), their exclusion
@@ -71,7 +86,8 @@ def _witness_groups(ds: StochasticDataset, ranks: np.ndarray, v0: int):
     the (distance to the prefix flat, lex) order.  The last vertices are the
     points off the prefix flat that beat no step: each is at most a tie with
     every earlier vertex and then lex-smaller, so it recovers to the prefix
-    plus itself.
+    plus itself.  Runs are cut at ``_EXTENT_CHUNK`` (cell, point) values; a
+    prefix whose cells hold more than that forms a run of its own.
     """
     pts, pi, d = ds.points, ds.probs, ds.dim
     omp = 1.0 - pi
@@ -90,29 +106,58 @@ def _witness_groups(ds: StochasticDataset, ranks: np.ndarray, v0: int):
         keep = ~step[np.arange(len(b))[:, None], prefix[b]].any(axis=1)
         prefix = np.column_stack([prefix[b], v])[keep]
         excls = step[keep]
-    for plist, excl, dist in zip(prefix.tolist(), excls, dists):
-        last = ~excl & (dist > EPS_GEO)
-        last[plist] = False
-        c = np.flatnonzero(last)
+    last = ~excls & (dists > EPS_GEO)
+    last[np.arange(len(prefix))[:, None], prefix] = False
+    sizes = last.sum(axis=1)
+    for rows in _runs(sizes * len(pi)):
+        b, c = np.nonzero(last[rows])
         if not c.size:
             continue
-        after = after_in_order(dist, dist[c, None], ranks, ranks[c, None])
-        # Multiply far to near, one factor at a time, so the rounding is
-        # that of a suffix product over the sorted order.
-        far = np.lexsort((ranks, dist))[::-1]
-        w = np.where(after[:, far] & ~excl[far], omp[far], 1.0)
-        none_after = np.cumprod(w, axis=1)[:, -1]
-        left = float(np.prod(pi[plist]) * np.prod(omp[excl]))
-        yield tuple(plist), c, left * pi[c] * none_after, after | excl
+        none_after, excluded = _last_vertices(dists[rows], excls[rows], b, c, ranks, omp)
+        left = np.array([np.prod(pi[p]) * np.prod(omp[e]) for p, e in zip(prefix[rows], excls[rows])])
+        bounds = [0, *np.cumsum(sizes[rows]).tolist()]
+        verts = np.column_stack([prefix[rows][b], c])
+        yield prefix[rows], bounds, verts, left[b] * pi[c] * none_after, excluded
+
+
+def _last_vertices(dists, excls, b, c, ranks, omp):
+    """For the (prefix, last vertex) cells (b, c) of B prefixes with (B, n)
+    distances to their flats and exclusion masks: the probability that no
+    point after c in the (distance to the prefix flat, lex) order is
+    present, over the points the prefix does not already exclude, and the
+    (cells, n) mask of the points the cell forces absent.
+    """
+    after = after_in_order(dists[b], dists[b, c, None], ranks, ranks[c, None])
+    # Multiply far to near, one factor at a time, so the rounding is that of
+    # a suffix product over each prefix's sorted order.
+    far = np.lexsort((np.broadcast_to(ranks, dists.shape), dists))[:, ::-1]
+    absent = np.where(np.take_along_axis(excls, far, axis=1), 1.0, omp[far])
+    w = np.where(np.take_along_axis(after, far[b], axis=1), absent[b], 1.0)
+    return np.cumprod(w, axis=1, out=w)[:, -1].copy(), after | excls[b]
+
+
+def _witness_groups(ds: StochasticDataset, ranks: np.ndarray, v0: int):
+    """The cells of ``_witness_runs``, one construction prefix at a time.
+
+    Yields ``(prefix, last, probs, excluded)`` for every prefix with a cell:
+    the first d vertices, the array of last vertices, their cells'
+    probabilities and the (len(last), n) mask of the points each cell
+    forces absent, prefixes in ascending lexicographic order.
+    """
+    for prefixes, bounds, verts, probs, excluded in _witness_runs(ds, ranks, v0):
+        for plist, lo, hi in zip(prefixes.tolist(), bounds, bounds[1:]):
+            if lo < hi:
+                yield tuple(plist), verts[lo:hi, -1], probs[lo:hi], excluded[lo:hi]
 
 
 def expected_width_witness(ds: StochasticDataset) -> float:
     """Expected witness-simplex width, summed over the decomposition's cells.
 
     Each construction prefix adds its cells' probabilities times their
-    simplices' widths, from one width-kernel call.  The result is within
-    [expected width / (2 * 5^(d-1)), expected width], restricted to
-    full-dimensional realizations.
+    simplices' widths, prefix by prefix; the widths come from one
+    width-kernel call per run of prefixes of ``_witness_runs``.  The result
+    is within [expected width / (2 * 5^(d-1)), expected width], restricted
+    to full-dimensional realizations.
 
     First vertex v0 is the lex-largest point of its cells, so they weigh at
     most pi[v0] * P[no lex-larger point present] together; when that times
@@ -120,16 +165,17 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     """
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
-    pts, pi, d = ds.points, ds.probs, ds.dim
+    pts, pi = ds.points, ds.probs
     ranks = lex_ranks(pts)
     top = pi * _exclusive_suffix_product(1.0 - pi[np.argsort(ranks)])[ranks] * _box_diagonal(pts)
     total = 0.0
     for v0 in range(len(ds)):
         if _negligible(top[v0], total):
             continue
-        for prefix, last, probs, _excluded in _witness_groups(ds, ranks, v0):
-            verts = np.column_stack([np.broadcast_to(prefix, (last.size, d)), last])
-            total += float(probs @ _least_extent(pts[verts]))
+        for _, bounds, verts, probs, _ in _witness_runs(ds, ranks, v0):
+            widths = _least_extent(pts[verts])
+            for lo, hi in zip(bounds, bounds[1:]):
+                total += float(probs[lo:hi] @ widths[lo:hi])
     return total
 
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from schull.geometry import dists_to_flat, lex_ranks
+from schull.geometry import _least_extent, dists_to_flat, lex_ranks
 
 from conftest import random_points
 
@@ -32,3 +33,21 @@ def test_flat_through_rejects_dependent_points():
     spans = [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]
     ok, _ = dists_to_flat([[0.0, 0.0]], spans)
     assert ok.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_least_extent_batch_bits(rng, d):
+    # One kernel call over a stack of simplices gives each width the bits of
+    # its own call, so the width witness may batch simplices freely.  The
+    # stacks: random simplices, integer-grid simplices (exact ties, some
+    # degenerate) and, at d = 3, simplices with a vertex on the line through
+    # two others, whose parallel edge differences give NaN candidate rows.
+    k = 60
+    stacks = [random_points(rng, k * (d + 1), d).reshape(k, d + 1, d),
+              rng.integers(0, 3, size=(k, d + 1, d)).astype(float)]
+    if d == 3:
+        tri = random_points(rng, k * 3, 3).reshape(k, 3, 3)
+        stacks.append(np.concatenate([tri, 2.0 * tri[:, 1:2] - tri[:, :1]], axis=1))
+    for simplices in stacks:
+        single = np.concatenate([_least_extent(s[None]) for s in simplices])
+        assert np.array_equal(_least_extent(simplices), single)

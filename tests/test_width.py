@@ -20,7 +20,7 @@ from schull import (
 )
 import schull.width
 from schull.dataset import rng_stream
-from schull.geometry import _least_extent, lex_ranks
+from schull.geometry import _EXTENT_CHUNK, _least_extent, lex_ranks
 from schull.width import _count_rows, _witness_groups
 
 from conftest import grid_dataset, random_dataset, random_points
@@ -220,11 +220,36 @@ def test_width_witness_skip_values_pinned(rng, monkeypatch):
     # were skipped; the skip must fire on this set.
     ds = random_dataset(rng, 80, 2)
     walked = []
-    groups = schull.width._witness_groups
-    monkeypatch.setattr(schull.width, "_witness_groups",
-                        lambda ds, ranks, v0: walked.append(v0) or groups(ds, ranks, v0))
+    runs = schull.width._witness_runs
+    monkeypatch.setattr(schull.width, "_witness_runs",
+                        lambda ds, ranks, v0: walked.append(v0) or runs(ds, ranks, v0))
     assert float.hex(expected_width_witness(ds)) == "0x1.3ff21737b2e75p+0"
     assert len(walked) < len(ds)
+
+
+def test_width_witness_runs_values_pinned(rng):
+    # Bit patterns captured before the leaf pass and the width kernel took
+    # runs of prefixes in place of one prefix at a time; on both sets some
+    # first vertex's cells span more than two runs.  For the FPRAS, points
+    # 10, 23 and 11 of the d = 3 set are made certain: the lex-largest
+    # point, the point farthest from it and the point farthest from their
+    # line.  Only 22 cells, all in a later run of first vertex 10, keep a
+    # positive probability, so the call takes about a second instead of
+    # more than a minute.
+    d2, d3 = random_dataset(rng, 50, 2), random_dataset(rng, 25, 3)
+    for ds in (d2, d3):
+        ranks = lex_ranks(ds.points)
+        cells = [sum(last.size for _, last, _, _ in _witness_groups(ds, ranks, v0))
+                 for v0 in range(len(ds))]
+        assert max(cells) * len(ds) > 2 * _EXTENT_CHUNK
+    probs = d3.probs.copy()
+    probs[[10, 23, 11]] = 1.0
+    stats = {}
+    fpras = expected_width_fpras(StochasticDataset(d3.points, probs),
+                                 FprasConfig(0.9, gamma_override=4.0), stats=stats)
+    assert [float.hex(expected_width_witness(d2)), float.hex(expected_width_witness(d3)),
+            float.hex(fpras), stats["sampled_cells"]] == [
+        "0x1.3166c6ca63a89p+0", "0x1.f4baf3e9ff3dfp-1", "0x1.7a5270bf730f6p+0", 17]
 
 
 def test_witness_walk_memory_per_first_vertex(rng):
