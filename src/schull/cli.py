@@ -187,7 +187,7 @@ def _cmd_compute(args) -> int:
     value, bounds, seed, extra = _run_estimator(ds, args.stat, method, args)
     out = _report(args, ds, raw, args.stat, method, value, bounds, seed, extra)
     sys.stdout.write(out)
-    if getattr(args, "timing", False):
+    if args.timing:
         ms = (time.perf_counter() - t0) * 1000.0
         print(f"elapsed_ms={ms:.3f}", file=sys.stderr)
     return EXIT_OK

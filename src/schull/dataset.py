@@ -250,6 +250,14 @@ def _box_diagonal(pts: np.ndarray) -> float:
     return float(np.sqrt(np.square(np.ptp(pts, axis=0)).sum()))
 
 
+def _lead_bounds(pts: np.ndarray, pi: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Per point v, pi[v] * P[no lex-larger point present] * bounding-box
+    diagonal, ``ranks`` the points' ``lex_ranks``: the witnesses whose
+    lex-largest point is v weigh at most the first two factors together and
+    measure at most the diagonal, so their terms sum to at most this."""
+    return pi * _exclusive_suffix_product(1.0 - pi[np.argsort(ranks)])[ranks] * _box_diagonal(pts)
+
+
 def _negligible(bound, total: float):
     """Whether terms of at most ``bound`` each (elementwise) leave ``total`` as it is.
 

@@ -18,24 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StochasticDataset, decode_text, oracle_expectation
-from .dataset import _box_diagonal, _exclusive_suffix_product, _negligible
+from .dataset import _box_diagonal, _exclusive_suffix_product, _lead_bounds, _negligible
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import after_in_order, distance_matrix, lex_ranks
+from .geometry import _order_by_distance, after_in_order, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
 
 TWO_APPROX_FACTOR = 2.0
-
-
-def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each row's columns sorted by (distance, lex rank).
-
-    ``cols`` lists the columns of ``dist`` in ascending lex rank, so a stable
-    sort on distance alone breaks exact ties by rank, as
-    ``np.lexsort((ranks, dist_row))`` does.
-    """
-    return cols[np.argsort(dist, axis=1, kind="stable")]
 
 
 # Prefix triples (p1, p2, p3) per batch of the witness sum, and anchor rows
@@ -113,7 +103,7 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     for b in range(n):
         after[b] = after_in_order(dmat[b], dmat[b][:, None], ranks, ranks[:, None])
     triples = _witness_triples(after, ranks)
-    top = pi * _exclusive_suffix_product(omp[by_rank])[ranks] * _box_diagonal(pts)
+    top = _lead_bounds(pts, pi, ranks)
     total = 0.0
     for s in range(0, triples.shape[1], _WITNESS_CHUNK):
         batch = triples[:, s : s + _WITNESS_CHUNK]

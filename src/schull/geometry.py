@@ -47,8 +47,6 @@ def lex_ranks(points) -> np.ndarray:
     """Rank of each point in lexicographic order (0 = smallest)."""
     pts = as_points(points)
     m, d = pts.shape
-    if m == 0:
-        return np.zeros(0, dtype=np.intp)
     order = np.lexsort(tuple(pts[:, c] for c in reversed(range(d))))
     ranks = np.empty(m, dtype=np.intp)
     ranks[order] = np.arange(m)
@@ -64,6 +62,16 @@ def after_in_order(dist, ref, ranks, ref_rank):
     """
     tie = np.abs(dist - ref) <= EPS_GEO
     return ((dist > ref) & ~tie) | (tie & (ranks > ref_rank))
+
+
+def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row's columns sorted by (distance, lex rank).
+
+    ``cols`` lists the columns of ``dist`` in ascending lex rank, so a stable
+    sort on distance alone breaks exact ties by rank, as
+    ``np.lexsort((ranks, dist_row))`` does.
+    """
+    return cols[np.argsort(dist, axis=1, kind="stable")]
 
 
 def distance_matrix(pts: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:

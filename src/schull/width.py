@@ -14,12 +14,13 @@ each simplex's width by the expected realization width conditioned on that
 simplex being the witness: summed exactly when the cell has at most as many
 sub-realizations as samples, a Monte Carlo average otherwise.
 
-Every width here is the least extent over the candidate directions of
-``geometry._least_extent``: the witness estimator evaluates the simplices
-of a run of construction prefixes in one call of it, and the sampling
-estimator all distinct sampled subsets of a cell.  A cell summed exactly
-takes the widths of all its sub-realizations from the enumeration oracle's
-doubling table, ``dataset._subset_widths``.
+Both estimators read the cells from one stream, ``_witness_runs``, a run
+of construction prefixes at a time.  Every width here is the least extent
+over the candidate directions of ``geometry._least_extent``: the witness
+estimator evaluates the simplices of a run in one call of it, and the
+sampling estimator all distinct sampled subsets of a cell.  A cell summed
+exactly takes the widths of all its sub-realizations from the enumeration
+oracle's doubling table, ``dataset._subset_widths``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StochasticDataset, _ordered_sum, _subset_probs, _subset_widths
-from .dataset import _box_diagonal, _exclusive_suffix_product, _negligible, rng_stream
+from .dataset import _lead_bounds, _negligible, rng_stream
 from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
     _EXTENT_CHUNK,
     _least_extent,
+    _order_by_distance,
     after_in_order,
     dists_to_flat,
     lex_ranks,
@@ -66,12 +68,13 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
     """The decomposition's cells led by first vertex v0, a run of
     construction prefixes at a time; ``ranks`` are the points' ``lex_ranks``.
 
-    Yields ``(prefixes, bounds, verts, probs, excluded)``: the run's (B, d)
-    prefixes, in ascending lexicographic order; the B + 1 offsets of
-    their cells, prefix i owning cells bounds[i]:bounds[i + 1]; and per
-    cell, in the same order, its simplex (prefix plus last vertex), its
-    probability and the (cells, n) mask of the points it forces absent.
-    Runs without a cell are skipped.  Callers loop over v0 in index order.
+    Yields ``(bounds, verts, probs, excluded)``: the B + 1 offsets of the
+    cells of the run's B construction prefixes, prefix i owning cells
+    bounds[i]:bounds[i + 1], and per cell its (d + 1)-vertex construction
+    order (prefix plus last vertex), its probability and the (cells, n)
+    mask of the points it forces absent.  Prefixes come in ascending
+    lexicographic order, and so do the cells.  Runs without a cell are
+    skipped.  Callers loop over v0 in index order.
 
     Prefixes grow one vertex at a time, as the construction does, one tree
     level at a time.  A level holds its prefixes (B, k), their exclusion
@@ -116,8 +119,7 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
         none_after, excluded = _last_vertices(dists[rows], excls[rows], b, c, ranks, omp)
         left = np.array([np.prod(pi[p]) * np.prod(omp[e]) for p, e in zip(prefix[rows], excls[rows])])
         bounds = [0, *np.cumsum(sizes[rows]).tolist()]
-        verts = np.column_stack([prefix[rows][b], c])
-        yield prefix[rows], bounds, verts, left[b] * pi[c] * none_after, excluded
+        yield bounds, np.column_stack([prefix[rows][b], c]), left[b] * pi[c] * none_after, excluded
 
 
 def _last_vertices(dists, excls, b, c, ranks, omp):
@@ -129,25 +131,14 @@ def _last_vertices(dists, excls, b, c, ranks, omp):
     """
     after = after_in_order(dists[b], dists[b, c, None], ranks, ranks[c, None])
     # Multiply far to near, one factor at a time, so the rounding is that of
-    # a suffix product over each prefix's sorted order.
-    far = np.lexsort((np.broadcast_to(ranks, dists.shape), dists))[:, ::-1]
+    # a suffix product over each prefix's sorted order.  by_rank comes from a
+    # stable sort: the default one for an int array pages in about 0.25 MB of
+    # numpy sort code (process RSS) that the FPRAS uses nowhere else.
+    by_rank = np.argsort(ranks, kind="stable")
+    far = _order_by_distance(dists[:, by_rank], by_rank)[:, ::-1]
     absent = np.where(np.take_along_axis(excls, far, axis=1), 1.0, omp[far])
     w = np.where(np.take_along_axis(after, far[b], axis=1), absent[b], 1.0)
     return np.cumprod(w, axis=1, out=w)[:, -1].copy(), after | excls[b]
-
-
-def _witness_groups(ds: StochasticDataset, ranks: np.ndarray, v0: int):
-    """The cells of ``_witness_runs``, one construction prefix at a time.
-
-    Yields ``(prefix, last, probs, excluded)`` for every prefix with a cell:
-    the first d vertices, the array of last vertices, their cells'
-    probabilities and the (len(last), n) mask of the points each cell
-    forces absent, prefixes in ascending lexicographic order.
-    """
-    for prefixes, bounds, verts, probs, excluded in _witness_runs(ds, ranks, v0):
-        for plist, lo, hi in zip(prefixes.tolist(), bounds, bounds[1:]):
-            if lo < hi:
-                yield tuple(plist), verts[lo:hi, -1], probs[lo:hi], excluded[lo:hi]
 
 
 def expected_width_witness(ds: StochasticDataset) -> float:
@@ -167,12 +158,12 @@ def expected_width_witness(ds: StochasticDataset) -> float:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
     pts, pi = ds.points, ds.probs
     ranks = lex_ranks(pts)
-    top = pi * _exclusive_suffix_product(1.0 - pi[np.argsort(ranks)])[ranks] * _box_diagonal(pts)
+    top = _lead_bounds(pts, pi, ranks)
     total = 0.0
     for v0 in range(len(ds)):
         if _negligible(top[v0], total):
             continue
-        for _, bounds, verts, probs, _ in _witness_runs(ds, ranks, v0):
+        for bounds, verts, probs, _ in _witness_runs(ds, ranks, v0):
             widths = _least_extent(pts[verts])
             for lo, hi in zip(bounds, bounds[1:]):
                 total += float(probs[lo:hi] @ widths[lo:hi])
@@ -237,7 +228,7 @@ def expected_width_fpras(
 ) -> float:
     """Estimate the expected hull width, cell by cell.
 
-    The cells of ``_witness_groups`` with positive probability, the same
+    The cells of ``_witness_runs`` with positive probability, the same
     ones the witness estimator sums over, partition the full-dimensional
     realizations; a cell's free points are those neither forced absent nor
     on its simplex.  A cell whose free points F have 2^|F| <= m
@@ -260,17 +251,16 @@ def expected_width_fpras(
     total = 0.0
     m = fpras_sample_count(n, config.epsilon, gamma)
     pts, pi, ranks = ds.points, ds.probs, lex_ranks(ds.points)
-    groups = (g for v0 in range(n) for g in _witness_groups(ds, ranks, v0))
-    for prefix, last, probs, excluded in groups:
+    runs = (run for v0 in range(n) for run in _witness_runs(ds, ranks, v0))
+    for _, verts, probs, excluded in runs:
         # a cell's free points: neither forced absent nor simplex vertices
         free_rows = ~excluded
-        free_rows[:, list(prefix)] = False
-        free_rows[np.arange(last.size), last] = False
-        for v, prob, row in zip(last.tolist(), probs.tolist(), free_rows):
+        free_rows[np.arange(len(verts))[:, None], verts] = False
+        for cell, prob, row in zip(verts.tolist(), probs.tolist(), free_rows):
             if not prob > 0.0:
                 continue
             free = np.flatnonzero(row)
-            base = sorted(prefix + (v,))
+            base = sorted(cell)
             k = free.size
             if 1 << k <= m:
                 # every sub-realization once: the simplex present, free[j] at bit j

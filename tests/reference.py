@@ -20,7 +20,7 @@ from schull.geometry import (
     dists_to_flat,
     lex_ranks,
 )
-from schull.width import _witness_groups
+from schull.width import _witness_runs
 
 
 def enumerate_realizations(ds) -> list[tuple[tuple[int, ...], float]]:
@@ -588,7 +588,7 @@ def expected_width_witness_naive(ds) -> float:
 
 def witness_cells(ds):
     """The width decomposition's cells of positive probability, one tuple
-    each, flattened from ``schull.width._witness_groups``.
+    each, flattened from ``schull.width._witness_runs``.
 
     Yields ``(verts, prob, excluded, free)``: the construction order, the
     probability that it is the realized witness simplex, the indices forced
@@ -596,9 +596,9 @@ def witness_cells(ds):
     """
     ranks = lex_ranks(ds.points)
     for v0 in range(len(ds)):
-        for prefix, last, probs, excluded in _witness_groups(ds, ranks, v0):
-            for v, prob, ex in zip(last.tolist(), probs.tolist(), excluded):
+        for _, cells, probs, excluded in _witness_runs(ds, ranks, v0):
+            for order, prob, ex in zip(cells.tolist(), probs.tolist(), excluded):
                 if prob > 0.0:
-                    verts = prefix + (v,)
+                    verts = tuple(order)
                     free = [i for i in np.flatnonzero(~ex).tolist() if i not in verts]
                     yield verts, prob, tuple(np.flatnonzero(ex).tolist()), tuple(free)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from schull.geometry import _least_extent, dists_to_flat, lex_ranks
+from schull.geometry import (
+    _least_extent,
+    _order_by_distance,
+    distance_matrix,
+    dists_to_flat,
+    lex_ranks,
+)
 
 from conftest import random_points
 
@@ -16,6 +22,22 @@ def test_lex_ranks_match_pairwise_order(rng):
         for j in range(20):
             if i != j:
                 assert (ranks[i] < ranks[j]) == (tuple(pts[i]) < tuple(pts[j]))
+    empty = lex_ranks(np.zeros((0, 3)))
+    assert empty.dtype == np.intp and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_order_by_distance_matches_lexsort(rng, d):
+    # The stable distance sort over columns in ascending lex rank must give
+    # the row-wise (distance, lex) lexsort, exact distance ties included:
+    # the far-to-near products of the width decomposition keep their bits
+    # only if it does.
+    for pts in (rng.integers(0, 3, size=(30, d)).astype(float), random_points(rng, 30, d)):
+        dist = distance_matrix(pts)
+        ranks = lex_ranks(pts)
+        by_rank = np.argsort(ranks)
+        rowwise = np.array([np.lexsort((ranks, row)) for row in dist])
+        assert np.array_equal(_order_by_distance(dist[:, by_rank], by_rank), rowwise)
 
 
 def test_flat_distances():
@@ -29,7 +51,7 @@ def test_flat_distances():
     assert dist[0] == pytest.approx([5.0, 0.0]) and dist[1] == pytest.approx([0.0, 5.0])
 
 
-def test_flat_through_rejects_dependent_points():
+def test_dists_to_flat_flags_dependent_spans():
     spans = [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]
     ok, _ = dists_to_flat([[0.0, 0.0]], spans)
     assert ok.tolist() == [False, True]

@@ -21,7 +21,7 @@ from schull import (
 import schull.width
 from schull.dataset import rng_stream
 from schull.geometry import _EXTENT_CHUNK, _least_extent, lex_ranks
-from schull.width import _count_rows, _witness_groups
+from schull.width import _count_rows, _witness_runs
 
 from conftest import grid_dataset, random_dataset, random_points
 from reference import (
@@ -151,8 +151,10 @@ def test_mask_candidates_recover_to_their_order(rng):
         n, d = (7, 2) if k % 2 == 0 else (6, 3)
         ds = grid_dataset(rng, n, d) if k < 8 else random_dataset(rng, n, d)
         ranks = lex_ranks(ds.points)
-        groups = [(prefix, last) for v0 in range(len(ds))
-                  for prefix, last, _, _ in _witness_groups(ds, ranks, v0)]
+        groups = [(tuple(verts[lo, :-1].tolist()), verts[lo:hi, -1])
+                  for v0 in range(len(ds))
+                  for bounds, verts, _, _ in _witness_runs(ds, ranks, v0)
+                  for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         prefixes = [prefix for prefix, _ in groups]
         assert prefixes == sorted(set(prefixes))
         for prefix, last in groups:
@@ -239,7 +241,7 @@ def test_width_witness_runs_values_pinned(rng):
     d2, d3 = random_dataset(rng, 50, 2), random_dataset(rng, 25, 3)
     for ds in (d2, d3):
         ranks = lex_ranks(ds.points)
-        cells = [sum(last.size for _, last, _, _ in _witness_groups(ds, ranks, v0))
+        cells = [sum(len(verts) for _, verts, _, _ in _witness_runs(ds, ranks, v0))
                  for v0 in range(len(ds))]
         assert max(cells) * len(ds) > 2 * _EXTENT_CHUNK
     probs = d3.probs.copy()
