@@ -6,15 +6,17 @@ owns the JSON interchange format, the seeded random streams, and the
 exponential enumeration oracle that every estimator is tested against.
 
 The oracle sums over all 2^n realizations (bit i of a mask = point i).
-Every statistic is computed for every mask as arrays, in blocks of 2^14
-masks, from the coordinates alone: a subset recursion for the diameter,
-the least extent over the candidate directions of the one width kernel
-(``geometry._least_extent``) for the width (d = 2, 3), and for the face
-census (d = 2, 3) bit-mask tests of supporting pairs and triples whose
-sides are exact signs on the coordinates, with no tolerance.  The 3-d
-census counts vertices, edges and facets each on its own, with no Euler
-identity, so it stays an independent check of the estimators.  The
-complexity is the sum of the face census.
+Every statistic is computed for every mask as arrays from the coordinates
+alone, in blocks of ``geometry._CHUNK`` masks (one setting of the high
+bits each) whose work arrays hold at most that many values: a subset
+recursion for the diameter, the least extent over the candidate
+directions of the one width kernel (``geometry._least_extent``) for the
+width (d = 2, 3), and for the face census (d = 2, 3) bit-mask tests of
+supporting pairs and triples whose sides are exact signs on the
+coordinates, with no tolerance.  The 3-d census counts vertices, edges
+and facets each on its own, with no Euler identity, so it stays an
+independent check of the estimators.  The complexity is the sum of the
+face census.
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ import numpy as np
 
 from .errors import CapabilityError, DatasetError
 from .geometry import HULL_DIMS, as_points, distance_matrix
-from .geometry import _candidate_directions
+from .geometry import _CHUNK, _candidate_directions
 
 # Enumeration walks all 2^n realizations; past this the oracle is hopeless.
 MAX_ENUM_POINTS = 22
+
+# Largest coordinate magnitude.  Under it the squared pair differences and
+# the squared cross products of the 3-d width kernel stay finite.
+MAX_COORD = 2.0**250
 
 
 class StochasticDataset:
@@ -49,6 +55,12 @@ class StochasticDataset:
             raise DatasetError("dataset must contain at least one point")
         if pts.shape[1] < 1:
             raise DatasetError("points must have at least one coordinate")
+        big = np.flatnonzero((np.abs(pts) > MAX_COORD).any(axis=1))
+        if big.size:
+            raise DatasetError(
+                f"point {int(big[0])} has a coordinate above 2**250 (about 1.8e75) "
+                "in magnitude; its squared lengths would overflow"
+            )
         if not np.isfinite(pr).all():
             raise DatasetError("non-finite probability")
         bad = np.nonzero((pr <= 0.0) | (pr > 1.0))[0]
@@ -200,11 +212,6 @@ def _mask_blocks(ds: StochasticDataset, lo: int) -> Iterator[np.ndarray]:
 
 ORACLE_STATISTICS = ("diameter", "width", "complexity")
 
-# The mask oracle evaluates a statistic on all 2^n realizations as arrays,
-# one block of 2^_BLOCK_BITS masks (one setting of the high bits) at a time;
-# no work array holds more than 2^_BLOCK_BITS values.
-_BLOCK_BITS = 14
-
 
 def _high_members(h: int, lo: int, n: int) -> np.ndarray:
     """Points of the high bits lo..n-1 that block h holds."""
@@ -294,7 +301,7 @@ def _subset_widths(pts: np.ndarray, lo: int, high: np.ndarray) -> np.ndarray:
     directions of ``geometry._least_extent``, with the extents of all
     subsets taken from ``_max_table``.  inf where no candidate direction
     applies."""
-    rows = max(1, (1 << _BLOCK_BITS) >> lo)
+    rows = max(1, _CHUNK >> lo)
     width = np.full(1 << lo, np.inf)
     for u in _candidate_directions(pts):
         proj = u @ pts.T
@@ -376,7 +383,7 @@ def _planar_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, 
     """
     n = len(pts)
     need, sel = _supporting_pairs(pts)
-    rows = (1 << _BLOCK_BITS) >> lo
+    rows = _CHUNK >> lo
     counts = np.bitwise_count(np.arange(1 << lo))
     for h in range(1 << (n - lo)):
         masks = np.arange(h << lo, (h + 1) << lo, dtype=np.int32)
@@ -456,7 +463,7 @@ def _spatial_face_blocks(pts: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray,
     """
     n = len(pts)
     line, (need, sel), ends, (f_need, f_up, f_down) = _spatial_supports(pts)
-    rows = (1 << _BLOCK_BITS) >> lo
+    rows = _CHUNK >> lo
     counts = np.bitwise_count(np.arange(1 << lo))
     for h in range(1 << (n - lo)):
         masks = np.arange(h << lo, (h + 1) << lo, dtype=np.int32)
@@ -491,7 +498,7 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
         )
     if statistic == "complexity":
         return float(oracle_face_expectations(ds).sum())
-    lo = min(len(ds), _BLOCK_BITS)
+    lo = min(len(ds), _CHUNK.bit_length() - 1)
     blocks = _diameter_blocks if statistic == "diameter" else _width_blocks
     values = blocks(ds.points, lo)
     total = 0.0
@@ -511,7 +518,7 @@ def oracle_face_expectations(ds: StochasticDataset) -> np.ndarray:
     _guard_enum(ds)
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"face oracle supports d in {HULL_DIMS}, got d={ds.dim}")
-    lo = min(len(ds), _BLOCK_BITS)
+    lo = min(len(ds), _CHUNK.bit_length() - 1)
     blocks = _planar_face_blocks if ds.dim == 2 else _spatial_face_blocks
     out = [0.0] * ds.dim
     for prob, faces in zip(_mask_blocks(ds, lo), blocks(ds.points, lo)):

@@ -20,18 +20,12 @@ import numpy as np
 from .dataset import StochasticDataset, decode_text, oracle_expectation
 from .dataset import _box_diagonal, _exclusive_suffix_product, _lead_bounds, _negligible
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import _order_by_distance, after_in_order, distance_matrix, lex_ranks
+from .geometry import _CHUNK, _order_by_distance, after_in_order, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
 
 TWO_APPROX_FACTOR = 2.0
-
-
-# Prefix triples (p1, p2, p3) per batch of the witness sum, and anchor rows
-# per block of the 2-approximation; both bound working memory, not results.
-_WITNESS_CHUNK = 32
-_TWO_APPROX_BLOCK = 32
 
 
 def _witness_triples(after: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -67,16 +61,17 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     The layout is blocked.  One n^3 bool table, built one source point at a
     time, says which point comes after which in the order from each point.
     The valid (p1, p2, p3) prefixes come from it as one (3, T) index array
-    in lexicographic order, sliced ``_WITNESS_CHUNK`` columns at a time;
-    each batch's exclusion rows are three gathers from the table.  Per
-    batch, (batch, n) probe distances decide which p4 choices are valid (a
-    few percent of them on random sets), and only those (prefix, p4) pairs
-    get rows: exclusion mask, sorted-frame candidates, suffix product,
-    spreads and row sum, each a (pairs, n) array.  Working memory is the
-    n^3 bools plus those rows: a tracemalloc peak of 0.8 MB at n = 50 and
-    3.9 MB at n = 100 on random planar sets.  Each prefix's term is a dot
+    in lexicographic order, sliced ``_CHUNK // n`` columns at a time; each
+    batch's exclusion rows are three gathers from the table.  Per batch,
+    (batch, n) probe distances decide which p4 choices are valid, and only
+    those (prefix, p4) pairs get rows, ``_CHUNK // n`` pairs at a time:
+    exclusion mask, sorted-frame candidates, suffix product, spreads and
+    row sum.  So besides the n^3 bools and (n, n) tables no work array
+    holds more than about ``_CHUNK`` values, whatever the data: a
+    tracemalloc peak of 1.8 MiB at n = 50 and 3.6 MiB at n = 100 on random
+    planar sets, 3.8 MiB on a regular 100-gon.  Each prefix's term is a dot
     product over its full-length row, added on its own in prefix order, so
-    the batch size does not change the result.  p1 is the lex-largest
+    the batch sizes do not change the result.  p1 is the lex-largest
     present point, so a prefix's term is at most pi[p1] times the chance
     that no lex-larger point is present times the bounding-box diagonal;
     each batch drops the prefixes whose bound cannot move the running total.
@@ -104,9 +99,10 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
         after[b] = after_in_order(dmat[b], dmat[b][:, None], ranks, ranks[:, None])
     triples = _witness_triples(after, ranks)
     top = _lead_bounds(pts, pi, ranks)
+    step = max(1, _CHUNK // n)
     total = 0.0
-    for s in range(0, triples.shape[1], _WITNESS_CHUNK):
-        batch = triples[:, s : s + _WITNESS_CHUNK]
+    for s in range(0, triples.shape[1], step):
+        batch = triples[:, s : s + step]
         p1, p2, p3 = batch[:, ~_negligible(top[batch[0]], total)]
         if not p1.size:
             continue
@@ -122,28 +118,30 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
         for pk in (p1, p2, p3):
             invalid |= after_in_order(dpr[c, pk][:, None], dpr, ranks[pk][:, None], ranks)
         # a prefix with no valid p4 adds an exact 0.0 below
-        ci, a = np.nonzero(~invalid)
-        v = np.arange(len(a))
-        # one row per valid (prefix, p4) pair, over the point it may exclude
-        excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None], ranks, ranks[a][:, None])
-        in_prefix = (a == p1[ci]) | (a == p2[ci]) | (a == p3[ci])
-        left = np.where(excl, omp, 1.0).prod(axis=1)
-        left *= (pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3]))[ci]
-        left *= np.where(in_prefix, 1.0, pi[a])
-        cand = ~excl[v[:, None], perm[a]]
-        cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
-        suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
-        cols = [pos[a, pk[ci]] for pk in (p1, p2, p3)]
-        cutoff = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
-        ok = cand & (ar >= cutoff[:, None])
-        pic = np.where(ok, pi_sorted[a], 0.0)
-        for col in cols:
-            pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
-        span = np.maximum(span_a[ci][:, None], d_sorted[a])
+        pair_ci, pair_a = np.nonzero(~invalid)
         weights = np.zeros((len(c), n))
         rows = np.zeros((len(c), n))
-        weights[ci, a] = left
-        rows[ci, a] = (pic * suffix * span).sum(axis=1)
+        for t in range(0, len(pair_a), step):
+            ci, a = pair_ci[t : t + step], pair_a[t : t + step]
+            v = np.arange(len(a))
+            # one row per valid (prefix, p4) pair, over the point it may exclude
+            excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None], ranks, ranks[a][:, None])
+            in_prefix = (a == p1[ci]) | (a == p2[ci]) | (a == p3[ci])
+            left = np.where(excl, omp, 1.0).prod(axis=1)
+            left *= (pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3]))[ci]
+            left *= np.where(in_prefix, 1.0, pi[a])
+            cand = ~excl[v[:, None], perm[a]]
+            cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
+            suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
+            cols = [pos[a, pk[ci]] for pk in (p1, p2, p3)]
+            cutoff = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
+            ok = cand & (ar >= cutoff[:, None])
+            pic = np.where(ok, pi_sorted[a], 0.0)
+            for col in cols:
+                pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
+            span = np.maximum(span_a[ci][:, None], d_sorted[a])
+            weights[ci, a] = left
+            rows[ci, a] = (pic * suffix * span).sum(axis=1)
         for k in c:
             total += float(np.dot(weights[k], rows[k]))
     return total
@@ -157,14 +155,14 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     partner).  Per realization that distance is within [diam/2, diam], so
     the expectation inherits the bracket.  O(n^2 log n) at worst.
 
-    Anchors are taken ``_TWO_APPROX_BLOCK`` rows at a time against the
-    partners after the block's first row, so working memory is O(block * n)
-    and no n x n table is built.  Each anchor's term is added on its own in
-    index order, as a dot product over a full-length row.  Anchor a's term
-    is at most pre[a] times the bounding-box diagonal and pre never grows,
-    so the loop stops at the first block whose bound is ``_negligible``:
-    after 64 of 2,000 anchors on a random planar set with probabilities in
-    [0.2, 0.9], and one block after a probability-1 point (pre becomes 0).
+    Anchors are taken ``_CHUNK // n`` rows at a time (one block up to
+    n = 128) against the partners after the block's first row, so no n x n
+    table is built.  Each anchor's term is added on its own in index order,
+    as a dot product over a full-length row.  Anchor a's term is at most
+    pre[a] times the bounding-box diagonal and pre never grows, so the loop
+    stops at the first block whose bound is ``_negligible``: after 48 of
+    2,000 anchors (6 blocks of 8) on a random planar set with probabilities
+    in [0.2, 0.9], and one block after a probability-1 point.
     """
     n = len(ds)
     pts, pi = ds.points, ds.probs
@@ -173,11 +171,12 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     by_rank = np.argsort(ranks)
     pre = np.concatenate([[1.0], np.cumprod(omp)])  # pre[i] = P[no point below index i]
     reach = _box_diagonal(pts)
+    block = max(1, _CHUNK // n)
     total = 0.0
-    for a in range(0, n - 1, _TWO_APPROX_BLOCK):
+    for a in range(0, n - 1, block):
         if _negligible(pre[a] * reach, total):
             break  # anchor a and every later one add at most pre[a] * reach
-        anchors = np.arange(a, min(a + _TWO_APPROX_BLOCK, n - 1))
+        anchors = np.arange(a, min(a + block, n - 1))
         cols = by_rank[by_rank > a]  # partners j > a, ascending lex rank
         dist = distance_matrix(pts[anchors], pts[cols])
         order = _order_by_distance(dist, cols)

@@ -47,6 +47,8 @@ def lex_ranks(points) -> np.ndarray:
     """Rank of each point in lexicographic order (0 = smallest)."""
     pts = as_points(points)
     m, d = pts.shape
+    if d == 0:
+        raise GeometryError("lex_ranks needs points with at least one coordinate")
     order = np.lexsort(tuple(pts[:, c] for c in reversed(range(d))))
     ranks = np.empty(m, dtype=np.intp)
     ranks[order] = np.arange(m)
@@ -101,14 +103,15 @@ def dists_to_flat(points, spans) -> tuple[np.ndarray, np.ndarray]:
     return ok, np.linalg.norm(w, axis=2)
 
 
-_EXTENT_CHUNK = 1 << 14  # most values per point set in a width-kernel array
+# Working-memory budget of every batched loop: values per work array.
+_CHUNK = 1 << 14
 
 
 def _candidate_directions(pts: np.ndarray) -> Iterator[np.ndarray]:
     """Candidate width directions of point sets, unit length, in chunks.
 
     ``pts`` has shape (..., k, d) and each chunk (..., c, d), with c * k at
-    most ``_EXTENT_CHUNK``.  d = 2: the normals of the point pairs.  d = 3:
+    most ``_CHUNK``.  d = 2: the normals of the point pairs.  d = 3:
     the cross products of two pair differences, which include every
     triangle normal.  They hold the optimal direction of every subset: a
     facet normal, or the cross product of two edge directions (Houle and
@@ -118,7 +121,7 @@ def _candidate_directions(pts: np.ndarray) -> Iterator[np.ndarray]:
     i, j = np.triu_indices(k, 1)
     diff = pts[..., j, :] - pts[..., i, :]
     a, b = np.triu_indices(len(i), 1) if d == 3 else (np.arange(len(i)), None)
-    step = max(1, _EXTENT_CHUNK // k)
+    step = max(1, _CHUNK // k)
     for s in range(0, len(a), step):
         e = diff[..., a[s:s + step], :]
         u = (np.stack([-e[..., 1], e[..., 0]], axis=-1) if d == 2
@@ -143,7 +146,7 @@ def _least_extent(pts: np.ndarray, present: np.ndarray | None = None) -> np.ndar
         if present is None:
             np.fmin(width, np.fmin.reduce(np.ptp(proj, axis=-1), axis=-1), out=width)
             continue
-        step = max(1, _EXTENT_CHUNK // proj.size)
+        step = max(1, _CHUNK // proj.size)
         for r in range(0, len(present), step):
             sel = present[r:r + step, None, :]
             top = np.where(sel, proj, -np.inf).max(axis=-1)

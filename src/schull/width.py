@@ -36,7 +36,7 @@ from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
-    _EXTENT_CHUNK,
+    _CHUNK,
     _least_extent,
     _order_by_distance,
     after_in_order,
@@ -53,11 +53,11 @@ def width_simplex_factor(d: int) -> float:
 
 
 def _runs(costs):
-    """Slices of consecutive items whose costs sum to at most ``_EXTENT_CHUNK``;
-    an item that costs more is a slice of its own."""
+    """Slices of consecutive items whose costs sum to at most ``_CHUNK``, the
+    working-memory budget; an item that costs more is a slice of its own."""
     start, held = 0, 0
     for i, cost in enumerate(costs.tolist()):
-        if i > start and held + cost > _EXTENT_CHUNK:
+        if i > start and held + cost > _CHUNK:
             yield slice(start, i)
             start, held = i, 0
         held += cost
@@ -89,8 +89,8 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
     the (distance to the prefix flat, lex) order.  The last vertices are the
     points off the prefix flat that beat no step: each is at most a tie with
     every earlier vertex and then lex-smaller, so it recovers to the prefix
-    plus itself.  Runs are cut at ``_EXTENT_CHUNK`` (cell, point) values; a
-    prefix whose cells hold more than that forms a run of its own.
+    plus itself.  Runs are cut at ``_CHUNK`` (cell, point) values; a prefix
+    whose cells hold more than that forms a run of its own.
     """
     pts, pi, d = ds.points, ds.probs, ds.dim
     omp = 1.0 - pi
@@ -117,7 +117,7 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
         if not c.size:
             continue
         none_after, excluded = _last_vertices(dists[rows], excls[rows], b, c, ranks, omp)
-        left = np.array([np.prod(pi[p]) * np.prod(omp[e]) for p, e in zip(prefix[rows], excls[rows])])
+        left = pi[prefix[rows]].prod(axis=1) * np.where(excls[rows], omp, 1.0).prod(axis=1)
         bounds = [0, *np.cumsum(sizes[rows]).tolist()]
         yield bounds, np.column_stack([prefix[rows][b], c]), left[b] * pi[c] * none_after, excluded
 

@@ -262,6 +262,9 @@ def test_exit_codes(tmp_path, capsys):
     graph.write_bytes(b"2 1\n1 \xff\n")
     huge = tmp_path / "huge.json"
     huge.write_text('{"dim": 1, "points": [{"coords": [1%s], "prob": 0.5}]}' % ("0" * 400))
+    vast = tmp_path / "vast.json"  # finite coordinates whose squares overflow
+    vast.write_text('{"dim": 2, "points": [{"coords": [0, 0], "prob": 0.5}, '
+                    '{"coords": [1e160, 1], "prob": 0.5}]}')
     fpras = ["compute", "--input", str(path), "--stat", "width", "--method", "fpras"]
     for argv in (
         fpras + ["--gamma", "nan"],
@@ -271,6 +274,7 @@ def test_exit_codes(tmp_path, capsys):
         ["gen", "random", "--n", "4", "--dim", "2", "--seed", "-1"],
         ["compute", "--input", str(latin), "--stat", "width"],
         ["compute", "--input", str(huge), "--stat", "diameter"],
+        ["compute", "--input", str(vast), "--stat", "diameter"],
         ["gen", "hardness", "--graph", str(graph), "--out", str(tmp_path / "h.json")],
     ):
         assert main(argv) == 3, argv

@@ -49,6 +49,8 @@ def test_dataset_validation_errors():
         make([[1.0, 0.0], [2.0, 1.0], [1.0, -0.0]], [0.5] * 3)  # -0.0 == 0.0
     with pytest.raises(DatasetError):
         make([[0.0, 0.0], [1.0, 0.0]], [0.5])  # length mismatch
+    with pytest.raises(DatasetError, match="point 1 "):
+        make([[0.0, 0.0], [1e160, 1.0], [-1e160, 0.0]], [0.5] * 3)  # squares overflow
 
 
 def test_dataset_error_names_offending_index():
@@ -237,7 +239,7 @@ def test_mask_oracle_blocks_do_not_change_bits(rng, monkeypatch):
 
     cases = _oracle_cases(rng)
     full = [values(ds) for ds in cases]
-    monkeypatch.setattr(schull.dataset, "_BLOCK_BITS", 4)
+    monkeypatch.setattr(schull.dataset, "_CHUNK", 16)
     assert [values(ds) for ds in cases] == full
 
 

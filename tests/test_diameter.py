@@ -154,10 +154,11 @@ def _two_approx_per_row(ds):
     return total
 
 
-def test_two_approx_blocks_match_per_row_reference(rng):
+def test_two_approx_blocks_match_per_row_reference(rng, monkeypatch):
     # Three full anchor blocks and a partial one; the blocked layout changes
     # no product and no summation order, so the value is bit-identical.
-    n = 3 * schull.diameter._TWO_APPROX_BLOCK + 5
+    n = 3 * 32 + 5
+    monkeypatch.setattr(schull.diameter, "_CHUNK", 32 * n)  # 32 anchors a block
     certain = random_dataset(rng, n, 2)
     probs = certain.probs.copy()
     probs[[40, n - 3]] = 1.0  # omp = 0 inside the suffix products
@@ -198,9 +199,9 @@ def test_two_approx_builds_no_distance_table_without_stop(rng):
 
 def _two_approx_bit_cases(rng):
     """n = 2000 with probabilities in [0.2, 0.9], where the stop fires after
-    2 of 63 blocks; the same n in [0.01, 0.05], where it fires after 41;
+    6 of 250 blocks; the same n in [0.01, 0.05], where it fires after 163;
     n = 200 with a probability-1 point, after which every term is 0 (1 of
-    7); an integer grid with exact distance ties (2 of 10)."""
+    3); an integer grid with exact distance ties (1 of 6)."""
     certain = random_dataset(rng, 200, 2)
     probs = certain.probs.copy()
     probs[3] = 1.0
@@ -219,12 +220,13 @@ def test_two_approx_values_pinned(rng):
 def test_two_approx_stop_matches_per_row_reference(rng, monkeypatch):
     # The stop fires mid-loop here; the uncut per-row sum must agree exactly.
     ds = random_dataset(rng, 300, 2, 0.2, 0.9)
+    monkeypatch.setattr(schull.diameter, "_CHUNK", 32 * 300)  # 32 anchors a block
     blocks = []
     table = schull.diameter.distance_matrix
     monkeypatch.setattr(schull.diameter, "distance_matrix",
                         lambda *a: blocks.append(1) or table(*a))
     assert expected_diameter_two_approx(ds) == _two_approx_per_row(ds)
-    assert 1 < len(blocks) < math.ceil(299 / schull.diameter._TWO_APPROX_BLOCK)
+    assert 1 < len(blocks) < math.ceil(299 / 32)
 
 
 def _witness_bit_cases(rng):
@@ -265,12 +267,13 @@ def test_witness_triples_match_brute_force(rng):
 
 
 def test_witness_chunks_do_not_change_bits(rng, monkeypatch):
-    # Each prefix's term is added on its own in prefix order, so batches of
-    # one or five prefixes must reproduce the default batches exactly.
+    # Each prefix's term is added on its own in prefix order, so batches and
+    # (prefix, p4) pair chunks of one or about five (100 // n) must
+    # reproduce the default batches exactly.
     cases = _witness_bit_cases(rng)
     full = [expected_diameter_witness(ds) for ds in cases]
-    for chunk in (1, 5):
-        monkeypatch.setattr(schull.diameter, "_WITNESS_CHUNK", chunk)
+    for chunk in (1, 100):
+        monkeypatch.setattr(schull.diameter, "_CHUNK", chunk)
         assert [expected_diameter_witness(ds) for ds in cases] == full
 
 
@@ -308,6 +311,24 @@ def test_witness_builds_no_cubic_float_batches(rng):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_witness_memory_does_not_grow_with_valid_fourth_points(rng):
+    # On a regular 80-gon, points in convex position, many p4 choices are
+    # valid and distances tie within EPS_GEO.  Rows for all valid (prefix,
+    # p4) pairs of a batch at once traced 5.3 MB; chunks of them sized from
+    # the one working-memory budget trace 2.7 MB.  The bit pattern was
+    # captured before the chunking.
+    t = 2.0 * np.pi * np.arange(80) / 80
+    ds = StochasticDataset(np.column_stack([np.cos(t), np.sin(t)]), rng.uniform(0.1, 0.95, size=80))
+    tracemalloc.start()
+    try:
+        value = expected_diameter_witness(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert float.hex(value) == "0x1.fffc5106a3954p+0"
 
 
 def test_witness_order_table_built_one_row_at_a_time(rng):

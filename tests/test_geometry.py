@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schull import GeometryError
 from schull.geometry import (
     _least_extent,
     _order_by_distance,
@@ -24,6 +25,9 @@ def test_lex_ranks_match_pairwise_order(rng):
                 assert (ranks[i] < ranks[j]) == (tuple(pts[i]) < tuple(pts[j]))
     empty = lex_ranks(np.zeros((0, 3)))
     assert empty.dtype == np.intp and empty.shape == (0,)
+    for shape in ((2, 0), (0, 0)):
+        with pytest.raises(GeometryError):
+            lex_ranks(np.zeros(shape))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -20,7 +20,7 @@ from schull import (
 )
 import schull.width
 from schull.dataset import rng_stream
-from schull.geometry import _EXTENT_CHUNK, _least_extent, lex_ranks
+from schull.geometry import _CHUNK, _least_extent, lex_ranks
 from schull.width import _count_rows, _witness_runs
 
 from conftest import grid_dataset, random_dataset, random_points
@@ -243,7 +243,7 @@ def test_width_witness_runs_values_pinned(rng):
         ranks = lex_ranks(ds.points)
         cells = [sum(len(verts) for _, verts, _, _ in _witness_runs(ds, ranks, v0))
                  for v0 in range(len(ds))]
-        assert max(cells) * len(ds) > 2 * _EXTENT_CHUNK
+        assert max(cells) * len(ds) > 2 * _CHUNK
     probs = d3.probs.copy()
     probs[[10, 23, 11]] = 1.0
     stats = {}
