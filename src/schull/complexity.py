@@ -193,6 +193,8 @@ def face_prob(ds: StochasticDataset, face) -> float:
     origin (a (d-2)-face) outside their hull, or (a facet) on one side of
     the line through the origin and the last vertex.
     """
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in face):
+        raise DatasetError("face vertices must be integer indices")
     verts = tuple(int(v) for v in face)
     n = len(ds)
     d = ds.dim

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapabilityError, DatasetError
-from .geometry import HULL_DIMS, as_points, distance_matrix
+from .geometry import HULL_DIMS, distance_matrix
 from .geometry import _CHUNK, _candidate_directions
 
 # Enumeration walks all 2^n realizations; past this the oracle is hopeless.
@@ -45,8 +45,11 @@ class StochasticDataset:
     __slots__ = ("points", "probs")
 
     def __init__(self, points, probs):
-        pts = np.array(as_points(points), dtype=np.float64)
+        pts = np.array(points, dtype=np.float64)
+        pts = pts.reshape(1, -1) if pts.ndim == 1 else pts
         pr = np.asarray(probs, dtype=np.float64).reshape(-1)
+        if pts.ndim != 2:
+            raise DatasetError(f"expected a 2-d point array, got shape {pts.shape}")
         if len(pts) != len(pr):
             raise DatasetError(
                 f"{len(pts)} points but {len(pr)} probabilities"
@@ -55,19 +58,21 @@ class StochasticDataset:
             raise DatasetError("dataset must contain at least one point")
         if pts.shape[1] < 1:
             raise DatasetError("points must have at least one coordinate")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise DatasetError(f"point {int(bad[0])} has a non-finite coordinate")
         big = np.flatnonzero((np.abs(pts) > MAX_COORD).any(axis=1))
         if big.size:
             raise DatasetError(
                 f"point {int(big[0])} has a coordinate above 2**250 (about 1.8e75) "
                 "in magnitude; its squared lengths would overflow"
             )
-        if not np.isfinite(pr).all():
-            raise DatasetError("non-finite probability")
-        bad = np.nonzero((pr <= 0.0) | (pr > 1.0))[0]
+        # NaN fails both comparisons, so it is caught here too
+        bad = np.flatnonzero(~((pr > 0.0) & (pr <= 1.0)))
         if bad.size:
             i = int(bad[0])
             raise DatasetError(
-                f"probability of point {i} is {pr[i]!r}, must be in (0, 1]"
+                f"probability of point {i} is {float(pr[i])!r}, must be in (0, 1]"
             )
         if len(set(map(tuple, pts.tolist()))) < len(pts):
             raise DatasetError("duplicate points in dataset")
@@ -257,14 +262,6 @@ def _box_diagonal(pts: np.ndarray) -> float:
     return float(np.sqrt(np.square(np.ptp(pts, axis=0)).sum()))
 
 
-def _lead_bounds(pts: np.ndarray, pi: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Per point v, pi[v] * P[no lex-larger point present] * bounding-box
-    diagonal, ``ranks`` the points' ``lex_ranks``: the witnesses whose
-    lex-largest point is v weigh at most the first two factors together and
-    measure at most the diagonal, so their terms sum to at most this."""
-    return pi * _exclusive_suffix_product(1.0 - pi[np.argsort(ranks)])[ranks] * _box_diagonal(pts)
-
-
 def _negligible(bound, total: float):
     """Whether terms of at most ``bound`` each (elementwise) leave ``total`` as it is.
 
@@ -274,7 +271,10 @@ def _negligible(bound, total: float):
     its ulp with it.  So once no term left can reach half an ulp, the rest
     of the sum is a no-op and cutting it keeps every bit.  The factor 4
     covers rounding in the bound and the terms; at total = 0 half an ulp
-    rounds to 0, so nothing is negligible.
+    rounds to 0, so nothing is negligible.  A witness prefix's mass times
+    the box diagonal bounds each addition of its subtree (disjoint events
+    inside the prefix's, times lengths of at most the diagonal), so
+    dropping the subtree drops only additions that are no-ops on their own.
     """
     return 4.0 * bound < 0.5 * math.ulp(total)
 

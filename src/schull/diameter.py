@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StochasticDataset, decode_text, oracle_expectation
-from .dataset import _box_diagonal, _exclusive_suffix_product, _lead_bounds, _negligible
+from .dataset import _box_diagonal, _exclusive_suffix_product, _negligible
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import _CHUNK, _order_by_distance, after_in_order, distance_matrix, lex_ranks
 
@@ -71,10 +71,10 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     tracemalloc peak of 1.8 MiB at n = 50 and 3.6 MiB at n = 100 on random
     planar sets, 3.8 MiB on a regular 100-gon.  Each prefix's term is a dot
     product over its full-length row, added on its own in prefix order, so
-    the batch sizes do not change the result.  p1 is the lex-largest
-    present point, so a prefix's term is at most pi[p1] times the chance
-    that no lex-larger point is present times the bounding-box diagonal;
-    each batch drops the prefixes whose bound cannot move the running total.
+    the batch sizes do not change the result.  A prefix's term is at most
+    its mass (p1, p2 and p3 present, the points in e3 absent) times the
+    bounding-box diagonal; each batch drops the prefixes for which that is
+    ``_negligible`` against the running total, before the p4 stage.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -98,17 +98,19 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     for b in range(n):
         after[b] = after_in_order(dmat[b], dmat[b][:, None], ranks, ranks[:, None])
     triples = _witness_triples(after, ranks)
-    top = _lead_bounds(pts, pi, ranks)
+    reach = _box_diagonal(pts)
     step = max(1, _CHUNK // n)
     total = 0.0
     for s in range(0, triples.shape[1], step):
-        batch = triples[:, s : s + step]
-        p1, p2, p3 = batch[:, ~_negligible(top[batch[0]], total)]
-        if not p1.size:
-            continue
+        p1, p2, p3 = triples[:, s : s + step]
         # the points each prefix already excludes: lex-larger than p1, or
         # after p2 in the order from p1, or after p3 in the order from p2
         e3 = (ranks > ranks[p1][:, None]) | after[p1, p2] | after[p2, p3]
+        lead = pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3])
+        keep = ~_negligible(lead * np.where(e3, omp, 1.0).prod(axis=1) * reach, total)
+        if not keep.any():
+            continue
+        p1, p2, p3, e3, lead = p1[keep], p2[keep], p3[keep], e3[keep], lead[keep]
         c = np.arange(len(p1))
         span_a = dmat[p2, p3]
         probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]
@@ -128,7 +130,7 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
             excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None], ranks, ranks[a][:, None])
             in_prefix = (a == p1[ci]) | (a == p2[ci]) | (a == p3[ci])
             left = np.where(excl, omp, 1.0).prod(axis=1)
-            left *= (pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3]))[ci]
+            left *= lead[ci]
             left *= np.where(in_prefix, 1.0, pi[a])
             cand = ~excl[v[:, None], perm[a]]
             cand[v, self_pos[a]] = False  # p4 itself is never the fifth point

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StochasticDataset, _ordered_sum, _subset_probs, _subset_widths
-from .dataset import _lead_bounds, _negligible, rng_stream
+from .dataset import _box_diagonal, _negligible, rng_stream
 from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
@@ -64,7 +64,7 @@ def _runs(costs):
     yield slice(start, len(costs))
 
 
-def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
+def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total: float = 0.0):
     """The decomposition's cells led by first vertex v0, a run of
     construction prefixes at a time; ``ranks`` are the points' ``lex_ranks``.
 
@@ -78,27 +78,34 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
 
     Prefixes grow one vertex at a time, as the construction does, one tree
     level at a time.  A level holds its prefixes (B, k), their exclusion
-    masks (B, n) and distances to their flats (B, n), from one
-    ``dists_to_flat`` call; a prefix with a degenerate flat is dropped.
+    masks (B, n), masses (vertices present, excluded points absent) and
+    distances to their flats (B, n), from one ``dists_to_flat`` call.  A
+    prefix whose mass times the box diagonal is ``_negligible`` against
+    ``total``, the running total at v0's start, is dropped before that
+    call, and one with a degenerate flat after it.
     Every point not yet excluded may be the next vertex; it excludes the
     points after it in the (distance to the prefix flat, lex) order, and a
     step that excludes a prefix vertex is dropped.  The (prefix, vertex)
     cells are taken in row-major order, so every level stays in ascending
-    lexicographic order.  At d vertices one product of absence
-    probabilities serves every last vertex; each adds the points after it in
-    the (distance to the prefix flat, lex) order.  The last vertices are the
-    points off the prefix flat that beat no step: each is at most a tie with
-    every earlier vertex and then lex-smaller, so it recovers to the prefix
-    plus itself.  Runs are cut at ``_CHUNK`` (cell, point) values; a prefix
-    whose cells hold more than that forms a run of its own.
+    lexicographic order.  At d vertices the prefix mass serves every last
+    vertex; each adds the points after it in the (distance to the prefix
+    flat, lex) order.  The last vertices are the points off the prefix flat
+    that beat no step: each is at most a tie with every earlier vertex and
+    then lex-smaller, so it recovers to the prefix plus itself.  Runs are
+    cut at ``_CHUNK`` (cell, point) values; a prefix whose cells hold more
+    than that forms a run of its own.
     """
     pts, pi, d = ds.points, ds.probs, ds.dim
     omp = 1.0 - pi
+    reach = _box_diagonal(pts)
     prefix = np.array([[v0]])
     excls = (ranks > ranks[v0])[None]
     for k in range(1, d + 1):
+        mass = pi[prefix].prod(axis=1) * np.where(excls, omp, 1.0).prod(axis=1)
+        keep = ~_negligible(mass * reach, total)
+        prefix, excls, mass = prefix[keep], excls[keep], mass[keep]
         ok, dists = dists_to_flat(pts, pts[prefix])
-        prefix, excls, dists = prefix[ok], excls[ok], dists[ok]
+        prefix, excls, mass, dists = prefix[ok], excls[ok], mass[ok], dists[ok]
         if k == d:
             break
         cand = ~excls
@@ -117,9 +124,9 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int):
         if not c.size:
             continue
         none_after, excluded = _last_vertices(dists[rows], excls[rows], b, c, ranks, omp)
-        left = pi[prefix[rows]].prod(axis=1) * np.where(excls[rows], omp, 1.0).prod(axis=1)
         bounds = [0, *np.cumsum(sizes[rows]).tolist()]
-        yield bounds, np.column_stack([prefix[rows][b], c]), left[b] * pi[c] * none_after, excluded
+        probs = mass[rows][b] * pi[c] * none_after
+        yield bounds, np.column_stack([prefix[rows][b], c]), probs, excluded
 
 
 def _last_vertices(dists, excls, b, c, ranks, omp):
@@ -150,20 +157,16 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     is within [expected width / (2 * 5^(d-1)), expected width], restricted
     to full-dimensional realizations.
 
-    First vertex v0 is the lex-largest point of its cells, so they weigh at
-    most pi[v0] * P[no lex-larger point present] together; when that times
-    the bounding-box diagonal is ``_negligible``, v0's tree is not grown.
+    A prefix's cells weigh at most its mass, so ``_witness_runs`` drops, at
+    every tree level, the prefixes whose mass cannot change the total.
     """
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
-    pts, pi = ds.points, ds.probs
+    pts = ds.points
     ranks = lex_ranks(pts)
-    top = _lead_bounds(pts, pi, ranks)
     total = 0.0
     for v0 in range(len(ds)):
-        if _negligible(top[v0], total):
-            continue
-        for bounds, verts, probs, _ in _witness_runs(ds, ranks, v0):
+        for bounds, verts, probs, _ in _witness_runs(ds, ranks, v0, total):
             widths = _least_extent(pts[verts])
             for lo, hi in zip(bounds, bounds[1:]):
                 total += float(probs[lo:hi] @ widths[lo:hi])

@@ -118,6 +118,11 @@ def test_face_prob_validation(rng):
     ds3 = random_dataset(rng, 6, 3)
     with pytest.raises(CapabilityError):
         face_prob(ds3, (0,))  # k = d - 3
+    # int() would truncate 1.9 to 1 and read True as 1
+    for face in ((0, 1.9), (0.2, True), (0, np.True_), (0, 1.0), (0, "1")):
+        with pytest.raises(DatasetError, match="integer"):
+            face_prob(ds, face)
+    assert face_prob(ds, (np.int64(0), np.int32(1))) == face_prob(ds, (0, 1))
 
 
 def test_face_prob_rest_empty():

@@ -56,6 +56,12 @@ def test_dataset_validation_errors():
 def test_dataset_error_names_offending_index():
     with pytest.raises(DatasetError, match="1"):
         make([[0.0, 0.0], [1.0, 0.0]], [0.5, -0.25])
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(DatasetError, match="^point 1 has a non-finite coordinate$"):
+            make([[0.0, 0.0], [1.0, bad], [2.0, bad]], [0.5] * 3)
+        with pytest.raises(DatasetError,
+                           match=r"^probability of point 1 is [-a-z]+, must be in \(0, 1\]$"):
+            make([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [0.5, bad, bad])
 
 
 def test_dataset_immutable():

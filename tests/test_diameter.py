@@ -300,6 +300,19 @@ def test_witness_skip_values_pinned(rng, monkeypatch):
     assert sum(dropped) > 0
 
 
+def test_witness_prefix_mass_cut_values_pinned(rng, monkeypatch):
+    # Bit pattern captured while only prefixes with a negligible p1 bound
+    # (pi[p1] * P[no lex-larger point] * box diagonal) were dropped; on this
+    # set the prefixes' own mass drops more than three times as many.
+    ds = random_dataset(rng, 90, 2)
+    dropped = []
+    test = schull.diameter._negligible
+    monkeypatch.setattr(schull.diameter, "_negligible",
+                        lambda b, t: dropped.append(np.sum(test(b, t))) or test(b, t))
+    assert float.hex(expected_diameter_witness(ds)) == "0x1.43dc3e3d79ddfp+1"
+    assert sum(dropped) > 0
+
+
 def test_witness_builds_no_cubic_float_batches(rng):
     # (batch, n, n) float arrays over every (prefix, p4) pair would trace
     # about 3.8 MB at n = 50; rows for the valid pairs alone stay near 2 MB.

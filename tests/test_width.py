@@ -219,14 +219,42 @@ def test_width_witness_values_pinned(rng):
 
 def test_width_witness_skip_values_pinned(rng, monkeypatch):
     # Bit pattern captured before first vertices with a negligible bound
-    # were skipped; the skip must fire on this set.
+    # were skipped; the cut of negligible prefixes must fire on this set.
     ds = random_dataset(rng, 80, 2)
-    walked = []
-    runs = schull.width._witness_runs
-    monkeypatch.setattr(schull.width, "_witness_runs",
-                        lambda ds, ranks, v0: walked.append(v0) or runs(ds, ranks, v0))
+    dropped = []
+    test = schull.width._negligible
+    monkeypatch.setattr(schull.width, "_negligible",
+                        lambda b, t: dropped.append(np.sum(test(b, t))) or test(b, t))
     assert float.hex(expected_width_witness(ds)) == "0x1.3ff21737b2e75p+0"
-    assert len(walked) < len(ds)
+    assert sum(dropped) > 0
+
+
+def test_width_witness_cuts_prefixes_below_first_vertex(rng, monkeypatch):
+    # Bit pattern captured before prefixes of negligible mass were cut at
+    # every tree level.  Over the first vertices whose own prefix is kept,
+    # fewer leaf-level prefixes reach dists_to_flat than in the uncut walk,
+    # so the cut fires below the first level.
+    ds = random_dataset(rng, 60, 2)
+    flat = schull.width.dists_to_flat
+    first, leaf_rows = set(), [0]
+
+    def counted(pts, spans):
+        # spans is (prefixes, vertices so far, d); row 0 starts at the first vertex
+        if spans.shape[1] == 1 and len(spans):
+            first.add(tuple(spans[0, 0]))
+        if spans.shape[1] == ds.dim:
+            leaf_rows[0] += len(spans)
+        return flat(pts, spans)
+
+    monkeypatch.setattr(schull.width, "dists_to_flat", counted)
+    assert float.hex(expected_width_witness(ds)) == "0x1.3961b06712e0ep+0"
+    cut, leaf_rows[0] = leaf_rows[0], 0
+    ranks = lex_ranks(ds.points)
+    for v0 in range(len(ds)):
+        if tuple(ds.points[v0]) in first:
+            for _ in _witness_runs(ds, ranks, v0):
+                pass
+    assert 0 < cut < leaf_rows[0]
 
 
 def test_width_witness_runs_values_pinned(rng):
