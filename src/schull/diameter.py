@@ -20,34 +20,13 @@ import numpy as np
 from .dataset import StochasticDataset, decode_text, oracle_expectation
 from .dataset import _box_diagonal, _exclusive_suffix_product, _negligible
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import _CHUNK, _order_by_distance, after_in_order, distance_matrix, lex_ranks
+from .geometry import _CHUNK, _order_by_distance, _runs, _steps
+from .geometry import after_in_order, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
 
 TWO_APPROX_FACTOR = 2.0
-
-
-def _witness_triples(after: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Valid witness prefixes (p1, p2, p3) as a (3, T) index array.
-
-    ``after[b, a, j]`` says that j comes after a in the (distance, lex) order
-    from b.  A prefix is valid when none of its own points is excluded by
-    the lex-larger rule or by the contests that picked p2 and p3.  Per p1,
-    ``e12[p2]`` is what the first two picks exclude, and p2 is kept when it
-    holds neither p1 nor p2.  p3 is then valid when three contest rows
-    leave it out: ``e12[p2]``, ``after[p2, :, p1]`` and ``after[p2, :, p2]``
-    (no point comes after itself).  Columns are in lexicographic order.
-    """
-    n = len(ranks)
-    ar = np.arange(n)
-    triples = []
-    for p1 in range(n):
-        e12 = (ranks > ranks[p1]) | after[p1]  # row p2
-        p2 = np.flatnonzero(~(e12[:, p1] | e12[ar, ar]) & (ar != p1))
-        k, p3 = np.nonzero(~(e12[p2] | after[p2, :, p1] | after[p2, :, p2]))
-        triples.append(np.stack([np.full(len(k), p1), p2[k], p3]))
-    return np.concatenate(triples, axis=1)
 
 
 def expected_diameter_witness(ds: StochasticDataset) -> float:
@@ -58,23 +37,23 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     the per-candidate exclusion products into one reversed cumulative
     product.  Runs in O(n^5) time.
 
-    The layout is blocked.  One n^3 bool table, built one source point at a
-    time, says which point comes after which in the order from each point.
-    The valid (p1, p2, p3) prefixes come from it as one (3, T) index array
-    in lexicographic order, sliced ``_CHUNK // n`` columns at a time; each
-    batch's exclusion rows are three gathers from the table.  Per batch,
-    (batch, n) probe distances decide which p4 choices are valid, and only
-    those (prefix, p4) pairs get rows, ``_CHUNK // n`` pairs at a time:
-    exclusion mask, sorted-frame candidates, suffix product, spreads and
-    row sum.  So besides the n^3 bools and (n, n) tables no work array
-    holds more than about ``_CHUNK`` values, whatever the data: a
-    tracemalloc peak of 1.8 MiB at n = 50 and 3.6 MiB at n = 100 on random
-    planar sets, 3.8 MiB on a regular 100-gon.  Each prefix's term is a dot
-    product over its full-length row, added on its own in prefix order, so
-    the batch sizes do not change the result.  A prefix's term is at most
-    its mass (p1, p2 and p3 present, the points in e3 absent) times the
-    bounding-box diagonal; each batch drops the prefixes for which that is
-    ``_negligible`` against the running total, before the p4 stage.
+    The prefixes grow a level at a time, as the construction does;
+    ``_steps`` keeps each step that excludes no prefix point: p2 in the
+    order from p1, p3 in the order from p2 (it may return to p1) and p4 in
+    the order from the probe.  First points come in groups whose pairs hold
+    about ``_CHUNK`` (pair, point) values, with their (pairs, n) exclusion
+    rows.  The valid triples come ``_CHUNK // n`` at a time, and each batch
+    gives rows only to its valid (prefix, p4) pairs, ``_CHUNK // n`` at a
+    time: exclusion mask, sorted-frame candidates, suffix product, spreads
+    and row sum.  So besides the (n, n) tables no work array holds more
+    than about ``_CHUNK`` values, or (n, n) for a first point with more
+    candidates: a tracemalloc peak of 1.7 MiB at n = 100 and 2.4 MiB at
+    n = 150 on random planar sets.  Each prefix's term is a dot product over
+    its full-length row, added on its own in prefix order, so group and
+    batch sizes do not change the result.  A prefix's mass (its points
+    present, the points it excludes absent) times the box diagonal bounds
+    every term below it, so each group drops the pairs, and each batch the
+    triples, whose bound is ``_negligible`` against the running total.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -85,7 +64,7 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp = 1.0 - pi
     dmat = distance_matrix(pts)
     ranks = lex_ranks(pts)
-    by_rank = np.argsort(ranks)
+    by_rank = np.argsort(ranks, kind="stable")
     ar = np.arange(n)
     perm = _order_by_distance(dmat[:, by_rank], by_rank)
     pos = np.empty((n, n), dtype=np.intp)
@@ -94,58 +73,62 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp_sorted = omp[perm]
     pi_sorted = pi[perm]
     self_pos = pos[ar, ar]
-    after = np.empty((n, n, n), dtype=bool)
-    for b in range(n):
-        after[b] = after_in_order(dmat[b], dmat[b][:, None], ranks, ranks[:, None])
-    triples = _witness_triples(after, ranks)
+    free = ranks < ranks[:, None]  # row p1: the points lex-smaller than p1
     reach = _box_diagonal(pts)
     step = max(1, _CHUNK // n)
     total = 0.0
-    for s in range(0, triples.shape[1], step):
-        p1, p2, p3 = triples[:, s : s + step]
-        # the points each prefix already excludes: lex-larger than p1, or
-        # after p2 in the order from p1, or after p3 in the order from p2
-        e3 = (ranks > ranks[p1][:, None]) | after[p1, p2] | after[p2, p3]
-        lead = pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3])
-        keep = ~_negligible(lead * np.where(e3, omp, 1.0).prod(axis=1) * reach, total)
-        if not keep.any():
-            continue
-        p1, p2, p3, e3, lead = p1[keep], p2[keep], p3[keep], e3[keep], lead[keep]
-        c = np.arange(len(p1))
-        span_a = dmat[p2, p3]
-        probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]
-        dpr = distance_matrix(probe, pts)
-        # p4 = a is invalid when it is excluded or excludes a prefix point
-        invalid = e3.copy()
-        for pk in (p1, p2, p3):
-            invalid |= after_in_order(dpr[c, pk][:, None], dpr, ranks[pk][:, None], ranks)
-        # a prefix with no valid p4 adds an exact 0.0 below
-        pair_ci, pair_a = np.nonzero(~invalid)
-        weights = np.zeros((len(c), n))
-        rows = np.zeros((len(c), n))
-        for t in range(0, len(pair_a), step):
-            ci, a = pair_ci[t : t + step], pair_a[t : t + step]
-            v = np.arange(len(a))
-            # one row per valid (prefix, p4) pair, over the point it may exclude
-            excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None], ranks, ranks[a][:, None])
-            in_prefix = (a == p1[ci]) | (a == p2[ci]) | (a == p3[ci])
-            left = np.where(excl, omp, 1.0).prod(axis=1)
-            left *= lead[ci]
-            left *= np.where(in_prefix, 1.0, pi[a])
-            cand = ~excl[v[:, None], perm[a]]
-            cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
-            suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
-            cols = [pos[a, pk[ci]] for pk in (p1, p2, p3)]
-            cutoff = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
-            ok = cand & (ar >= cutoff[:, None])
-            pic = np.where(ok, pi_sorted[a], 0.0)
-            for col in cols:
-                pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
-            span = np.maximum(span_a[ci][:, None], d_sorted[a])
-            weights[ci, a] = left
-            rows[ci, a] = (pic * suffix * span).sum(axis=1)
-        for k in c:
-            total += float(np.dot(weights[k], rows[k]))
+    for g in _runs(free.sum(axis=1) * n):
+        b, second = _steps(ar[g, None], dmat[g], ranks, free[g])
+        first = ar[g][b]
+        # the points a pair excludes: lex-larger than p1, or after p2 from p1
+        e12 = (ranks > ranks[first][:, None]) | after_in_order(
+            dmat[first], dmat[first, second][:, None], ranks, ranks[second][:, None])
+        mass = pi[first] * pi[second] * np.where(e12, omp, 1.0).prod(axis=1)
+        keep = ~_negligible(mass * reach, total)
+        first, second, e12 = first[keep], second[keep], e12[keep]
+        t, third = _steps(np.column_stack([first, second]), dmat[second], ranks, ~e12)
+        for s in range(0, len(t), step):
+            ti = t[s : s + step]
+            p1, p2, p3 = first[ti], second[ti], third[s : s + step]
+            # and the points after p3 in the order from p2
+            e3 = e12[ti] | after_in_order(dmat[p2], dmat[p2, p3][:, None],
+                                          ranks, ranks[p3][:, None])
+            lead = pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3])
+            keep = ~_negligible(lead * np.where(e3, omp, 1.0).prod(axis=1) * reach, total)
+            if not keep.any():
+                continue
+            p1, p2, p3, e3, lead = p1[keep], p2[keep], p3[keep], e3[keep], lead[keep]
+            span_a = dmat[p2, p3]
+            probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]
+            dpr = distance_matrix(probe, pts)
+            # a prefix with no valid p4 adds an exact 0.0 below
+            pair_ci, pair_a = _steps(np.column_stack([p1, p2, p3]), dpr, ranks, ~e3)
+            weights = np.zeros((len(p1), n))
+            rows = np.zeros((len(p1), n))
+            for u in range(0, len(pair_a), step):
+                ci, a = pair_ci[u : u + step], pair_a[u : u + step]
+                v = np.arange(len(a))
+                # one row per valid (prefix, p4) pair, over the point it may exclude
+                excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None],
+                                               ranks, ranks[a][:, None])
+                in_prefix = (a == p1[ci]) | (a == p2[ci]) | (a == p3[ci])
+                left = np.where(excl, omp, 1.0).prod(axis=1)
+                left *= lead[ci]
+                left *= np.where(in_prefix, 1.0, pi[a])
+                cand = ~excl[v[:, None], perm[a]]
+                cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
+                suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
+                cols = [pos[a, pk[ci]] for pk in (p1, p2, p3)]
+                cutoff = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
+                ok = cand & (ar >= cutoff[:, None])
+                pic = np.where(ok, pi_sorted[a], 0.0)
+                for col in cols:
+                    pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
+                span = np.maximum(span_a[ci][:, None], d_sorted[a])
+                weights[ci, a] = left
+                rows[ci, a] = (pic * suffix * span).sum(axis=1)
+            for k in range(len(p1)):
+                total += float(np.dot(weights[k], rows[k]))
     return total
 
 
@@ -170,7 +153,7 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
     pts, pi = ds.points, ds.probs
     omp = 1.0 - pi
     ranks = lex_ranks(pts)
-    by_rank = np.argsort(ranks)
+    by_rank = np.argsort(ranks, kind="stable")
     pre = np.concatenate([[1.0], np.cumprod(omp)])  # pre[i] = P[no point below index i]
     reach = _box_diagonal(pts)
     block = max(1, _CHUNK // n)

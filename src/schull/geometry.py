@@ -3,7 +3,8 @@
 Everything downstream (estimators, enumeration oracles, the sweep) is built
 on the helpers in this module: the (distance, lex) order, in which the
 lexicographic point order breaks distance ties, distance tables,
-distance-to-flat computations and the width kernel.
+distance-to-flat computations, the width kernel and, for both witness
+sums, the construction step ``_steps`` and the batch sizes of ``_runs``.
 
 Ties and degeneracy are decided with a single absolute tolerance
 ``EPS_GEO``; inputs are expected to be desk-scale (coordinates up to ~1e3).
@@ -105,6 +106,33 @@ def dists_to_flat(points, spans) -> tuple[np.ndarray, np.ndarray]:
 
 # Working-memory budget of every batched loop: values per work array.
 _CHUNK = 1 << 14
+
+
+def _runs(costs):
+    """Slices of consecutive items whose costs sum to at most ``_CHUNK``, the
+    working-memory budget; an item that costs more is a slice of its own.
+    They size the width's runs of prefixes and the diameter's first points."""
+    start, held = 0, 0
+    for i, cost in enumerate(costs.tolist()):
+        if i > start and held + cost > _CHUNK:
+            yield slice(start, i)
+            start, held = i, 0
+        held += cost
+    yield slice(start, len(costs))
+
+
+def _steps(prefix, ref, ranks, cand):
+    """The construction steps (b, v) of ``cand`` (B, n), in row-major order,
+    that exclude no vertex of prefix b (B, k).  Taking v excludes the points
+    after it in the (distance in ``ref`` row b, lex) order.  A prefix
+    excludes none of its own vertices, or its step would have been dropped,
+    so only its columns are tested: one (B, n) ``after_in_order`` call each.
+    """
+    rows = np.arange(len(prefix))
+    ok = cand.copy()
+    for vert in prefix.T:
+        ok &= ~after_in_order(ref[rows, vert][:, None], ref, ranks[vert][:, None], ranks)
+    return np.nonzero(ok)
 
 
 def _candidate_directions(pts: np.ndarray) -> Iterator[np.ndarray]:

@@ -36,9 +36,10 @@ from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
-    _CHUNK,
     _least_extent,
     _order_by_distance,
+    _runs,
+    _steps,
     after_in_order,
     dists_to_flat,
     lex_ranks,
@@ -50,18 +51,6 @@ def width_simplex_factor(d: int) -> float:
     if d < 1:
         raise CapabilityError("dimension must be positive")
     return 0.5 * 5.0 ** (-(d - 1))
-
-
-def _runs(costs):
-    """Slices of consecutive items whose costs sum to at most ``_CHUNK``, the
-    working-memory budget; an item that costs more is a slice of its own."""
-    start, held = 0, 0
-    for i, cost in enumerate(costs.tolist()):
-        if i > start and held + cost > _CHUNK:
-            yield slice(start, i)
-            start, held = i, 0
-        held += cost
-    yield slice(start, len(costs))
 
 
 def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total: float = 0.0):
@@ -84,8 +73,8 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total: floa
     ``total``, the running total at v0's start, is dropped before that
     call, and one with a degenerate flat after it.
     Every point not yet excluded may be the next vertex; it excludes the
-    points after it in the (distance to the prefix flat, lex) order, and a
-    step that excludes a prefix vertex is dropped.  The (prefix, vertex)
+    points after it in the (distance to the prefix flat, lex) order, and
+    ``_steps`` drops a step that excludes a prefix vertex.  The (prefix, vertex)
     cells are taken in row-major order, so every level stays in ascending
     lexicographic order.  At d vertices the prefix mass serves every last
     vertex; each adds the points after it in the (distance to the prefix
@@ -110,12 +99,10 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total: floa
             break
         cand = ~excls
         cand[np.arange(len(prefix))[:, None], prefix] = False
-        b, v = np.nonzero(cand)
-        step = excls[b] | after_in_order(dists[b], dists[b, v][:, None],
-                                         ranks, ranks[v][:, None])
-        keep = ~step[np.arange(len(b))[:, None], prefix[b]].any(axis=1)
-        prefix = np.column_stack([prefix[b], v])[keep]
-        excls = step[keep]
+        b, v = _steps(prefix, dists, ranks, cand)
+        excls = excls[b] | after_in_order(dists[b], dists[b, v][:, None],
+                                          ranks, ranks[v][:, None])
+        prefix = np.column_stack([prefix[b], v])
     last = ~excls & (dists > EPS_GEO)
     last[np.arange(len(prefix))[:, None], prefix] = False
     sizes = last.sum(axis=1)

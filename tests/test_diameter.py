@@ -21,6 +21,7 @@ from schull import (
     parse_graph,
 )
 import schull.diameter
+import schull.geometry
 from schull.diameter import double_simplex, regular_simplex
 from schull.geometry import after_in_order, distance_matrix, lex_ranks
 
@@ -244,16 +245,34 @@ def _witness_bit_cases(rng):
     return cases
 
 
-def test_witness_triples_match_brute_force(rng):
-    # The valid prefixes straight from their definition, one ordered
-    # (p1, p2, p3) at a time; the sum tests see them only through the total.
+def test_steps_match_brute_force(rng):
+    # The construction steps straight from their definition, one (prefix,
+    # point) at a time; the sum tests see them only through the total.
     cases = [ds.points for ds in _witness_bit_cases(rng)]
     cases += [random_points(rng, 1, 2), random_points(rng, 2, 3), random_points(rng, 9, 1)]
     for pts in cases:
         n = len(pts)
         dmat = distance_matrix(pts)
         ranks = lex_ranks(pts)
-        # after[b, a]: the points after a in the order from b
+        # (a) prefixes of one to three points, some repeated, against rows
+        # from a point and from probes placed as the witness places them
+        refs = [dmat[rng.integers(0, n, size=12)]]
+        if n > 1:
+            i, j, k = rng.integers(0, n, size=(3, 12))
+            j = np.where(i == j, (j + 1) % n, j)
+            probe = pts[j] + (pts[i] - pts[j]) * (0.5 * dmat[j, k] / dmat[i, j])[:, None]
+            refs.append(distance_matrix(probe, pts))
+        for ref in refs:
+            for k in (1, 2, 3):
+                prefix = rng.integers(0, n, size=(12, k))
+                cand = rng.random((12, n)) < 0.7
+                want = [(b, v) for b in range(12) for v in range(n) if cand[b, v]
+                        and not any(after_in_order(ref[b, p], ref[b, v], ranks[p], ranks[v])
+                                    for p in prefix[b])]
+                got = schull.geometry._steps(prefix, ref, ranks, cand)
+                assert list(zip(*(x.tolist() for x in got))) == want
+        # (b) p2 and then p3, chained as the diameter witness chains them,
+        # give the valid (p1, p2, p3) prefixes in lexicographic order
         after = np.array([[after_in_order(dmat[b], dmat[b, a], ranks, ranks[a])
                            for a in range(n)] for b in range(n)])
         want = []
@@ -261,19 +280,23 @@ def test_witness_triples_match_brute_force(rng):
             e3 = (ranks > ranks[p1]) | after[p1, p2] | after[p2, p3]
             if p2 != p1 and not e3[[p1, p2, p3]].any():
                 want.append((p1, p2, p3))
-        got = schull.diameter._witness_triples(after, ranks)
-        assert got.shape == (3, len(want))
-        assert got.T.tolist() == [list(t) for t in want]
+        p1, p2 = schull.geometry._steps(np.arange(n)[:, None], dmat, ranks,
+                                        ranks < ranks[:, None])
+        e12 = (ranks > ranks[p1][:, None]) | after[p1, p2]
+        t, p3 = schull.geometry._steps(np.column_stack([p1, p2]), dmat[p2], ranks, ~e12)
+        assert list(zip(p1[t].tolist(), p2[t].tolist(), p3.tolist())) == want
 
 
 def test_witness_chunks_do_not_change_bits(rng, monkeypatch):
-    # Each prefix's term is added on its own in prefix order, so batches and
-    # (prefix, p4) pair chunks of one or about five (100 // n) must
-    # reproduce the default batches exactly.
+    # Each prefix's term is added on its own in prefix order, so groups of
+    # one first point or of a few (at most 100 // n candidate pairs), and
+    # batches and (prefix, p4) pair chunks of one or about five (100 // n),
+    # must reproduce the default groups and batches exactly.
     cases = _witness_bit_cases(rng)
     full = [expected_diameter_witness(ds) for ds in cases]
     for chunk in (1, 100):
         monkeypatch.setattr(schull.diameter, "_CHUNK", chunk)
+        monkeypatch.setattr(schull.geometry, "_CHUNK", chunk)
         assert [expected_diameter_witness(ds) for ds in cases] == full
 
 
@@ -344,18 +367,19 @@ def test_witness_memory_does_not_grow_with_valid_fourth_points(rng):
     assert float.hex(value) == "0x1.fffc5106a3954p+0"
 
 
-def test_witness_order_table_built_one_row_at_a_time(rng):
-    # The n^3 order table is 1 MB of bools at n = 100; building it from
-    # (n, n, n) float temporaries traces about 16 MB, one source point at a
-    # time about 5 MB.
-    ds = random_dataset(rng, 100, 2)
+@pytest.mark.parametrize("n, mib", [(100, 8), (150, 4)])
+def test_witness_memory_is_quadratic(rng, n, mib):
+    # Besides (n, n) tables, no work array holds more than about _CHUNK
+    # values, or (n, n) for a first point with more candidates: 1.7 MiB
+    # traced at n = 100 and 2.5 MiB at n = 150.
+    ds = random_dataset(rng, n, 2)
     tracemalloc.start()
     try:
         expected_diameter_witness(ds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < mib * 2**20
 
 
 def test_two_approx_brackets_oracle(rng):
