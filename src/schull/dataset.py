@@ -257,28 +257,6 @@ def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _box_diagonal(pts: np.ndarray) -> float:
-    """Bounding-box diagonal: no distance, spread or width of the points exceeds it."""
-    return float(np.sqrt(np.square(np.ptp(pts, axis=0)).sum()))
-
-
-def _negligible(bound, total: float):
-    """Whether terms of at most ``bound`` each (elementwise) leave ``total`` as it is.
-
-    In float64 with round-to-nearest, total + t == total for
-    0 <= t < ulp(total) / 2 (Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2nd ed., §2.1), and a sum of non-negative terms only grows,
-    its ulp with it.  So once no term left can reach half an ulp, the rest
-    of the sum is a no-op and cutting it keeps every bit.  The factor 4
-    covers rounding in the bound and the terms; at total = 0 half an ulp
-    rounds to 0, so nothing is negligible.  A witness prefix's mass times
-    the box diagonal bounds each addition of its subtree (disjoint events
-    inside the prefix's, times lengths of at most the diagonal), so
-    dropping the subtree drops only additions that are no-ops on their own.
-    """
-    return 4.0 * bound < 0.5 * math.ulp(total)
-
-
 def _diameter_blocks(pts: np.ndarray, lo: int) -> Iterator[np.ndarray]:
     """Diameter of every realization, by the subset recursion
     diam(S) = max(diam(S - {top}), max over j in S of |top - j|)."""

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import StochasticDataset, decode_text, oracle_expectation
-from .dataset import _box_diagonal, _exclusive_suffix_product, _negligible
+from .dataset import StochasticDataset, _exclusive_suffix_product, decode_text
+from .dataset import oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import _CHUNK, _order_by_distance, _runs, _steps
-from .geometry import after_in_order, distance_matrix, lex_ranks
+from .geometry import _CHUNK, _box_diagonal, _negligible, _order_by_distance, _steps
+from .geometry import _walk, after_in_order, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
@@ -37,23 +37,17 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     the per-candidate exclusion products into one reversed cumulative
     product.  Runs in O(n^5) time.
 
-    The prefixes grow a level at a time, as the construction does;
-    ``_steps`` keeps each step that excludes no prefix point: p2 in the
-    order from p1, p3 in the order from p2 (it may return to p1) and p4 in
-    the order from the probe.  First points come in groups whose pairs hold
-    about ``_CHUNK`` (pair, point) values, with their (pairs, n) exclusion
-    rows.  The valid triples come ``_CHUNK // n`` at a time, and each batch
-    gives rows only to its valid (prefix, p4) pairs, ``_CHUNK // n`` at a
-    time: exclusion mask, sorted-frame candidates, suffix product, spreads
-    and row sum.  So besides the (n, n) tables no work array holds more
-    than about ``_CHUNK`` values, or (n, n) for a first point with more
-    candidates: a tracemalloc peak of 1.7 MiB at n = 100 and 2.4 MiB at
-    n = 150 on random planar sets.  Each prefix's term is a dot product over
-    its full-length row, added on its own in prefix order, so group and
-    batch sizes do not change the result.  A prefix's mass (its points
-    present, the points it excludes absent) times the box diagonal bounds
-    every term below it, so each group drops the pairs, and each batch the
-    triples, whose bound is ``_negligible`` against the running total.
+    The (p1, p2, p3) prefixes come from ``geometry._walk``, with its mass
+    cut: p2 a step in the order from p1, p3 in the order from p2.  Each of
+    its batches of ``_CHUNK // n`` triples takes p4 by ``_steps`` in the
+    order from the probe and gives rows only to its valid (prefix, p4)
+    pairs, ``_CHUNK // n`` at a time: exclusion mask, sorted-frame
+    candidates, suffix product, spreads and row sum.  So besides (n, n)
+    tables no work array holds more than about ``_CHUNK`` values (a
+    tracemalloc peak of 2.0 MiB at n = 100 and 2.8 MiB at n = 150 on
+    random planar sets).  Each prefix's term is a dot product over its
+    full-length row, added on its own in prefix order, so batch sizes do
+    not change the result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -73,62 +67,46 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp_sorted = omp[perm]
     pi_sorted = pi[perm]
     self_pos = pos[ar, ar]
-    free = ranks < ranks[:, None]  # row p1: the points lex-smaller than p1
-    reach = _box_diagonal(pts)
     step = max(1, _CHUNK // n)
+
+    def from_last(prefix):
+        return np.ones(len(prefix), dtype=bool), dmat[prefix[:, -1]]
+
+    def from_probe(prefix):
+        p1, p2, p3 = prefix.T
+        probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * dmat[p2, p3] / dmat[p1, p2])[:, None]
+        return np.ones(len(prefix), dtype=bool), distance_matrix(probe, pts)
+
     total = 0.0
-    for g in _runs(free.sum(axis=1) * n):
-        b, second = _steps(ar[g, None], dmat[g], ranks, free[g])
-        first = ar[g][b]
-        # the points a pair excludes: lex-larger than p1, or after p2 from p1
-        e12 = (ranks > ranks[first][:, None]) | after_in_order(
-            dmat[first], dmat[first, second][:, None], ranks, ranks[second][:, None])
-        mass = pi[first] * pi[second] * np.where(e12, omp, 1.0).prod(axis=1)
-        keep = ~_negligible(mass * reach, total)
-        first, second, e12 = first[keep], second[keep], e12[keep]
-        t, third = _steps(np.column_stack([first, second]), dmat[second], ranks, ~e12)
-        for s in range(0, len(t), step):
-            ti = t[s : s + step]
-            p1, p2, p3 = first[ti], second[ti], third[s : s + step]
-            # and the points after p3 in the order from p2
-            e3 = e12[ti] | after_in_order(dmat[p2], dmat[p2, p3][:, None],
-                                          ranks, ranks[p3][:, None])
-            lead = pi[p1] * pi[p2] * np.where((p3 == p1) | (p3 == p2), 1.0, pi[p3])
-            keep = ~_negligible(lead * np.where(e3, omp, 1.0).prod(axis=1) * reach, total)
-            if not keep.any():
-                continue
-            p1, p2, p3, e3, lead = p1[keep], p2[keep], p3[keep], e3[keep], lead[keep]
-            span_a = dmat[p2, p3]
-            probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * span_a / dmat[p1, p2])[:, None]
-            dpr = distance_matrix(probe, pts)
-            # a prefix with no valid p4 adds an exact 0.0 below
-            pair_ci, pair_a = _steps(np.column_stack([p1, p2, p3]), dpr, ranks, ~e3)
-            weights = np.zeros((len(p1), n))
-            rows = np.zeros((len(p1), n))
-            for u in range(0, len(pair_a), step):
-                ci, a = pair_ci[u : u + step], pair_a[u : u + step]
-                v = np.arange(len(a))
-                # one row per valid (prefix, p4) pair, over the point it may exclude
-                excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None],
-                                               ranks, ranks[a][:, None])
-                in_prefix = (a == p1[ci]) | (a == p2[ci]) | (a == p3[ci])
-                left = np.where(excl, omp, 1.0).prod(axis=1)
-                left *= lead[ci]
-                left *= np.where(in_prefix, 1.0, pi[a])
-                cand = ~excl[v[:, None], perm[a]]
-                cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
-                suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
-                cols = [pos[a, pk[ci]] for pk in (p1, p2, p3)]
-                cutoff = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
-                ok = cand & (ar >= cutoff[:, None])
-                pic = np.where(ok, pi_sorted[a], 0.0)
-                for col in cols:
-                    pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
-                span = np.maximum(span_a[ci][:, None], d_sorted[a])
-                weights[ci, a] = left
-                rows[ci, a] = (pic * suffix * span).sum(axis=1)
-            for k in range(len(p1)):
-                total += float(np.dot(weights[k], rows[k]))
+    levels = (from_last, from_last, from_probe)
+    for prefix, e3, lead, _, dpr in _walk(pts, pi, ranks, ar[:, None], levels, lambda: total):
+        # a prefix with no valid p4 adds an exact 0.0 below
+        pair_ci, pair_a = _steps(prefix, dpr, ranks, ~e3)
+        weights = np.zeros((len(prefix), n))
+        rows = np.zeros((len(prefix), n))
+        for u in range(0, len(pair_a), step):
+            ci, a = pair_ci[u : u + step], pair_a[u : u + step]
+            v = np.arange(len(a))
+            # one row per valid (prefix, p4) pair, over the point it may exclude
+            excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None],
+                                           ranks, ranks[a][:, None])
+            in_prefix = (prefix[ci] == a[:, None]).any(axis=1)
+            left = np.where(excl, omp, 1.0).prod(axis=1)
+            left *= lead[ci]
+            left *= np.where(in_prefix, 1.0, pi[a])
+            cand = ~excl[v[:, None], perm[a]]
+            cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
+            suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
+            cols = pos[a, prefix[ci].T]  # p1, p2 and p3 in the sorted frame of p4
+            ok = cand & (ar >= cols.max(axis=0)[:, None])
+            pic = np.where(ok, pi_sorted[a], 0.0)
+            for col in cols:
+                pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
+            span = np.maximum(dmat[prefix[ci, 1], prefix[ci, 2]][:, None], d_sorted[a])
+            weights[ci, a] = left
+            rows[ci, a] = (pic * suffix * span).sum(axis=1)
+        for k in range(len(prefix)):
+            total += float(np.dot(weights[k], rows[k]))
     return total
 
 

@@ -3,8 +3,8 @@
 Everything downstream (estimators, enumeration oracles, the sweep) is built
 on the helpers in this module: the (distance, lex) order, in which the
 lexicographic point order breaks distance ties, distance tables,
-distance-to-flat computations, the width kernel and, for both witness
-sums, the construction step ``_steps`` and the batch sizes of ``_runs``.
+distance-to-flat computations, the width kernel, the width's ``_runs`` and,
+for both witness sums, the prefix walk ``_walk``, ``_steps`` and ``_negligible``.
 
 Ties and degeneracy are decided with a single absolute tolerance
 ``EPS_GEO``; inputs are expected to be desk-scale (coordinates up to ~1e3).
@@ -13,6 +13,7 @@ The width kernel, ``_least_extent``, needs no tolerance at any scale.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -111,7 +112,7 @@ _CHUNK = 1 << 14
 def _runs(costs):
     """Slices of consecutive items whose costs sum to at most ``_CHUNK``, the
     working-memory budget; an item that costs more is a slice of its own.
-    They size the width's runs of prefixes and the diameter's first points."""
+    They size the width witness's runs of prefixes."""
     start, held = 0, 0
     for i, cost in enumerate(costs.tolist()):
         if i > start and held + cost > _CHUNK:
@@ -133,6 +134,71 @@ def _steps(prefix, ref, ranks, cand):
     for vert in prefix.T:
         ok &= ~after_in_order(ref[rows, vert][:, None], ref, ranks[vert][:, None], ranks)
     return np.nonzero(ok)
+
+
+def _box_diagonal(pts: np.ndarray) -> float:
+    """Bounding-box diagonal: no distance, spread or width of the points exceeds it."""
+    return float(np.sqrt(np.square(np.ptp(pts, axis=0)).sum()))
+
+
+def _negligible(bound, total: float):
+    """Whether terms of at most ``bound`` each (elementwise) leave ``total`` as it is.
+
+    In float64 with round-to-nearest, total + t == total for
+    0 <= t < ulp(total) / 2 (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., §2.1), and a sum of non-negative terms only grows,
+    its ulp with it.  So once no term left can reach half an ulp, the rest
+    of the sum is a no-op and cutting it keeps every bit.  The factor 4
+    covers rounding in the bound and the terms; at total = 0 half an ulp
+    rounds to 0, so nothing is negligible.  A witness prefix's mass times
+    the box diagonal bounds each addition of its subtree (disjoint events
+    inside the prefix's, times lengths of at most the diagonal), so
+    dropping the subtree drops only additions that are no-ops on their own.
+    """
+    return 4.0 * bound < 0.5 * math.ulp(total)
+
+
+def _walk(pts, pi, ranks, root, levels, total):
+    """Construction prefixes grown from the one-point prefixes ``root`` (B, 1)
+    one level at a time, depth first; yields the last level's ``(prefix,
+    excls, lead, mass, ref)`` batches in lexicographic order.
+
+    A first point excludes the lex-larger points; a prefix's mass is its
+    lead (its distinct vertices present) times its excluded points absent.
+    A level drops the prefixes whose mass times the box diagonal is
+    ``_negligible`` against ``total()``, the running total, then those that
+    ``levels[k](prefix) -> (ok, ref)`` finds not ok.  The steps are the
+    points neither excluded nor the last vertex that ``_steps`` keeps: the
+    diameter's p3 may return to p1, and in space the width may step back
+    to v0, which the next flat drops on an exact zero pivot.  Children are
+    built ``_CHUNK // n`` at a time, each grown to the last level in turn.
+    """
+    omp = 1.0 - pi
+    reach = _box_diagonal(pts)
+    step = max(1, _CHUNK // len(pi))
+
+    def grow(prefix, excls, lead, level):
+        mass = lead * np.where(excls, omp, 1.0).prod(axis=1)
+        keep = ~_negligible(mass * reach, total())
+        if not keep.any():
+            return
+        ok, ref = levels[level](prefix[keep])
+        keep[keep] = ok
+        prefix, excls, lead, mass, ref = prefix[keep], excls[keep], lead[keep], mass[keep], ref[ok]
+        if level + 1 == len(levels):
+            yield prefix, excls, lead, mass, ref
+            return
+        cand = ~excls
+        cand[np.arange(len(prefix)), prefix[:, -1]] = False
+        b, v = _steps(prefix, ref, ranks, cand)
+        for s in range(0, len(b), step):
+            b_s, v_s = b[s:s + step], v[s:s + step]
+            again = (prefix[b_s] == v_s[:, None]).any(axis=1)
+            yield from grow(np.column_stack([prefix[b_s], v_s]), excls[b_s] | after_in_order(
+                ref[b_s], ref[b_s, v_s][:, None], ranks, ranks[v_s][:, None]),
+                lead[b_s] * np.where(again, 1.0, pi[v_s]), level + 1)
+
+    yield from grow(root, ranks > ranks[root], pi[root[:, 0]], 0)
 
 
 def _candidate_directions(pts: np.ndarray) -> Iterator[np.ndarray]:

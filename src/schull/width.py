@@ -14,13 +14,13 @@ each simplex's width by the expected realization width conditioned on that
 simplex being the witness: summed exactly when the cell has at most as many
 sub-realizations as samples, a Monte Carlo average otherwise.
 
-Both estimators read the cells from one stream, ``_witness_runs``, a run
-of construction prefixes at a time.  Every width here is the least extent
-over the candidate directions of ``geometry._least_extent``: the witness
-estimator evaluates the simplices of a run in one call of it, and the
-sampling estimator all distinct sampled subsets of a cell.  A cell summed
-exactly takes the widths of all its sub-realizations from the enumeration
-oracle's doubling table, ``dataset._subset_widths``.
+Both estimators read the cells from one stream, ``_witness_runs``, a run of
+``geometry._walk``'s prefixes at a time.  Every width here is the least
+extent over the candidate directions of ``geometry._least_extent``: the
+witness estimator evaluates the simplices of a run in one call of it, and
+the sampling estimator all distinct sampled subsets of a cell.  A cell
+summed exactly takes the widths of all its sub-realizations from the
+enumeration oracle's doubling table, ``dataset._subset_widths``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StochasticDataset, _ordered_sum, _subset_probs, _subset_widths
-from .dataset import _box_diagonal, _negligible, rng_stream
+from .dataset import rng_stream
 from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
@@ -39,7 +39,7 @@ from .geometry import (
     _least_extent,
     _order_by_distance,
     _runs,
-    _steps,
+    _walk,
     after_in_order,
     dists_to_flat,
     lex_ranks,
@@ -53,7 +53,7 @@ def width_simplex_factor(d: int) -> float:
     return 0.5 * 5.0 ** (-(d - 1))
 
 
-def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total: float = 0.0):
+def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total=lambda: 0.0):
     """The decomposition's cells led by first vertex v0, a run of
     construction prefixes at a time; ``ranks`` are the points' ``lex_ranks``.
 
@@ -65,55 +65,31 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total: floa
     lexicographic order, and so do the cells.  Runs without a cell are
     skipped.  Callers loop over v0 in index order.
 
-    Prefixes grow one vertex at a time, as the construction does, one tree
-    level at a time.  A level holds its prefixes (B, k), their exclusion
-    masks (B, n), masses (vertices present, excluded points absent) and
-    distances to their flats (B, n), from one ``dists_to_flat`` call.  A
-    prefix whose mass times the box diagonal is ``_negligible`` against
-    ``total``, the running total at v0's start, is dropped before that
-    call, and one with a degenerate flat after it.
-    Every point not yet excluded may be the next vertex; it excludes the
-    points after it in the (distance to the prefix flat, lex) order, and
-    ``_steps`` drops a step that excludes a prefix vertex.  The (prefix, vertex)
-    cells are taken in row-major order, so every level stays in ascending
-    lexicographic order.  At d vertices the prefix mass serves every last
-    vertex; each adds the points after it in the (distance to the prefix
-    flat, lex) order.  The last vertices are the points off the prefix flat
-    that beat no step: each is at most a tie with every earlier vertex and
-    then lex-smaller, so it recovers to the prefix plus itself.  Runs are
-    cut at ``_CHUNK`` (cell, point) values; a prefix whose cells hold more
-    than that forms a run of its own.
+    The prefixes of d vertices come from ``geometry._walk``, with one
+    ``dists_to_flat`` call per level batch, which drops degenerate flats,
+    and the mass cut against ``total()``, the running total.  The prefix
+    mass serves every last vertex; each adds the points after it in the
+    (distance to the prefix flat, lex) order.  The last vertices are the
+    points off the prefix flat that beat no step: each is at most a tie
+    with every earlier vertex and then lex-smaller, so it recovers to the
+    prefix plus itself.  Runs are cut at ``_CHUNK`` (cell, point) values;
+    a prefix whose cells hold more than that forms a run of its own.
     """
-    pts, pi, d = ds.points, ds.probs, ds.dim
+    pts, pi = ds.points, ds.probs
     omp = 1.0 - pi
-    reach = _box_diagonal(pts)
-    prefix = np.array([[v0]])
-    excls = (ranks > ranks[v0])[None]
-    for k in range(1, d + 1):
-        mass = pi[prefix].prod(axis=1) * np.where(excls, omp, 1.0).prod(axis=1)
-        keep = ~_negligible(mass * reach, total)
-        prefix, excls, mass = prefix[keep], excls[keep], mass[keep]
-        ok, dists = dists_to_flat(pts, pts[prefix])
-        prefix, excls, mass, dists = prefix[ok], excls[ok], mass[ok], dists[ok]
-        if k == d:
-            break
-        cand = ~excls
-        cand[np.arange(len(prefix))[:, None], prefix] = False
-        b, v = _steps(prefix, dists, ranks, cand)
-        excls = excls[b] | after_in_order(dists[b], dists[b, v][:, None],
-                                          ranks, ranks[v][:, None])
-        prefix = np.column_stack([prefix[b], v])
-    last = ~excls & (dists > EPS_GEO)
-    last[np.arange(len(prefix))[:, None], prefix] = False
-    sizes = last.sum(axis=1)
-    for rows in _runs(sizes * len(pi)):
-        b, c = np.nonzero(last[rows])
-        if not c.size:
-            continue
-        none_after, excluded = _last_vertices(dists[rows], excls[rows], b, c, ranks, omp)
-        bounds = [0, *np.cumsum(sizes[rows]).tolist()]
-        probs = mass[rows][b] * pi[c] * none_after
-        yield bounds, np.column_stack([prefix[rows][b], c]), probs, excluded
+    levels = [lambda prefix: dists_to_flat(pts, pts[prefix])] * ds.dim
+    for prefix, excls, _, mass, dists in _walk(pts, pi, ranks, np.array([[v0]]), levels, total):
+        last = ~excls & (dists > EPS_GEO)
+        last[np.arange(len(prefix))[:, None], prefix] = False
+        sizes = last.sum(axis=1)
+        for rows in _runs(sizes * len(pi)):
+            b, c = np.nonzero(last[rows])
+            if not c.size:
+                continue
+            none_after, excluded = _last_vertices(dists[rows], excls[rows], b, c, ranks, omp)
+            bounds = [0, *np.cumsum(sizes[rows]).tolist()]
+            probs = mass[rows][b] * pi[c] * none_after
+            yield bounds, np.column_stack([prefix[rows][b], c]), probs, excluded
 
 
 def _last_vertices(dists, excls, b, c, ranks, omp):
@@ -144,8 +120,8 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     is within [expected width / (2 * 5^(d-1)), expected width], restricted
     to full-dimensional realizations.
 
-    A prefix's cells weigh at most its mass, so ``_witness_runs`` drops, at
-    every tree level, the prefixes whose mass cannot change the total.
+    A prefix's cells weigh at most its mass, so the walk drops, at every
+    tree level, the prefixes whose mass cannot change the running total.
     """
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
@@ -153,7 +129,7 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     ranks = lex_ranks(pts)
     total = 0.0
     for v0 in range(len(ds)):
-        for bounds, verts, probs, _ in _witness_runs(ds, ranks, v0, total):
+        for bounds, verts, probs, _ in _witness_runs(ds, ranks, v0, lambda: total):
             widths = _least_extent(pts[verts])
             for lo, hi in zip(bounds, bounds[1:]):
                 total += float(probs[lo:hi] @ widths[lo:hi])

@@ -271,8 +271,9 @@ def test_steps_match_brute_force(rng):
                                     for p in prefix[b])]
                 got = schull.geometry._steps(prefix, ref, ranks, cand)
                 assert list(zip(*(x.tolist() for x in got))) == want
-        # (b) p2 and then p3, chained as the diameter witness chains them,
-        # give the valid (p1, p2, p3) prefixes in lexicographic order
+        # (b) p2 and then p3, chained through the prefix walk as the
+        # diameter witness chains them, with nothing cut, give the valid
+        # (p1, p2, p3) prefixes in lexicographic order
         after = np.array([[after_in_order(dmat[b], dmat[b, a], ranks, ranks[a])
                            for a in range(n)] for b in range(n)])
         want = []
@@ -280,11 +281,13 @@ def test_steps_match_brute_force(rng):
             e3 = (ranks > ranks[p1]) | after[p1, p2] | after[p2, p3]
             if p2 != p1 and not e3[[p1, p2, p3]].any():
                 want.append((p1, p2, p3))
-        p1, p2 = schull.geometry._steps(np.arange(n)[:, None], dmat, ranks,
-                                        ranks < ranks[:, None])
-        e12 = (ranks > ranks[p1][:, None]) | after[p1, p2]
-        t, p3 = schull.geometry._steps(np.column_stack([p1, p2]), dmat[p2], ranks, ~e12)
-        assert list(zip(p1[t].tolist(), p2[t].tolist(), p3.tolist())) == want
+
+        def from_last(prefix):
+            return np.ones(len(prefix), dtype=bool), dmat[prefix[:, -1]]
+
+        walk = schull.geometry._walk(pts, np.full(n, 0.5), ranks, np.arange(n)[:, None],
+                                     [from_last] * 3, lambda: 0.0)
+        assert [tuple(t) for prefix, *_ in walk for t in prefix.tolist()] == want
 
 
 def test_witness_chunks_do_not_change_bits(rng, monkeypatch):
@@ -316,8 +319,8 @@ def test_witness_skip_values_pinned(rng, monkeypatch):
     # dropped; the drop must fire on this set.
     ds = random_dataset(rng, 70, 2)
     dropped = []
-    test = schull.diameter._negligible
-    monkeypatch.setattr(schull.diameter, "_negligible",
+    test = schull.geometry._negligible
+    monkeypatch.setattr(schull.geometry, "_negligible",
                         lambda b, t: dropped.append(np.sum(test(b, t))) or test(b, t))
     assert float.hex(expected_diameter_witness(ds)) == "0x1.2bc66e18cc851p+1"
     assert sum(dropped) > 0
@@ -329,8 +332,8 @@ def test_witness_prefix_mass_cut_values_pinned(rng, monkeypatch):
     # set the prefixes' own mass drops more than three times as many.
     ds = random_dataset(rng, 90, 2)
     dropped = []
-    test = schull.diameter._negligible
-    monkeypatch.setattr(schull.diameter, "_negligible",
+    test = schull.geometry._negligible
+    monkeypatch.setattr(schull.geometry, "_negligible",
                         lambda b, t: dropped.append(np.sum(test(b, t))) or test(b, t))
     assert float.hex(expected_diameter_witness(ds)) == "0x1.43dc3e3d79ddfp+1"
     assert sum(dropped) > 0
@@ -369,9 +372,9 @@ def test_witness_memory_does_not_grow_with_valid_fourth_points(rng):
 
 @pytest.mark.parametrize("n, mib", [(100, 8), (150, 4)])
 def test_witness_memory_is_quadratic(rng, n, mib):
-    # Besides (n, n) tables, no work array holds more than about _CHUNK
-    # values, or (n, n) for a first point with more candidates: 1.7 MiB
-    # traced at n = 100 and 2.5 MiB at n = 150.
+    # Besides (n, n) tables, the prefix walk's first level among them, no
+    # work array holds more than about _CHUNK values: 2.0 MiB traced at
+    # n = 100 and 2.8 MiB at n = 150.
     ds = random_dataset(rng, n, 2)
     tracemalloc.start()
     try:

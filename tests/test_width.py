@@ -18,6 +18,7 @@ from schull import (
     oracle_expectation,
     width_simplex_factor,
 )
+import schull.geometry
 import schull.width
 from schull.dataset import rng_stream
 from schull.geometry import _CHUNK, _least_extent, lex_ranks
@@ -222,8 +223,8 @@ def test_width_witness_skip_values_pinned(rng, monkeypatch):
     # were skipped; the cut of negligible prefixes must fire on this set.
     ds = random_dataset(rng, 80, 2)
     dropped = []
-    test = schull.width._negligible
-    monkeypatch.setattr(schull.width, "_negligible",
+    test = schull.geometry._negligible
+    monkeypatch.setattr(schull.geometry, "_negligible",
                         lambda b, t: dropped.append(np.sum(test(b, t))) or test(b, t))
     assert float.hex(expected_width_witness(ds)) == "0x1.3ff21737b2e75p+0"
     assert sum(dropped) > 0
@@ -282,18 +283,33 @@ def test_width_witness_runs_values_pinned(rng):
         "0x1.3166c6ca63a89p+0", "0x1.f4baf3e9ff3dfp-1", "0x1.7a5270bf730f6p+0", 17]
 
 
-def test_witness_walk_memory_per_first_vertex(rng):
+@pytest.mark.parametrize("n, d, mib", [(50, 2, 1), (40, 3, 2)])
+def test_witness_walk_memory_per_first_vertex(rng, n, d, mib):
     # The tree levels of one first vertex at a time stay well under 1 MB at
     # n = 50; holding every first vertex's level in one array traces about
-    # 3 MB.
-    ds = random_dataset(rng, 50, 2)
+    # 3 MB.  In space, levels built _CHUNK // n prefixes at a time trace
+    # 1.4 MiB at n = 40; whole levels per first vertex traced 2.3 MiB.
+    ds = random_dataset(rng, n, d)
     tracemalloc.start()
     try:
         expected_width_witness(ds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < mib * 2**20
+
+
+def test_width_witness_chunks_do_not_change_bits(rng, monkeypatch):
+    # Each prefix's cells are added on their own in prefix order, so walk
+    # batches of one prefix (_CHUNK = 16) or of a few (100 // n), and the
+    # runs they give, must reproduce the default batches exactly.  Smaller
+    # budgets also shrink the width kernel's direction chunks to one row,
+    # whose matrix product may round differently.
+    cases = _witness_bit_cases(rng)
+    full = [expected_width_witness(ds) for ds in cases]
+    for chunk in (16, 100):
+        monkeypatch.setattr(schull.geometry, "_CHUNK", chunk)
+        assert [expected_width_witness(ds) for ds in cases] == full
 
 
 # --- sampling estimator ---
