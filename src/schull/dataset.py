@@ -190,11 +190,12 @@ def _guard_enum(ds: StochasticDataset) -> None:
 
 def _subset_probs(pi: np.ndarray) -> np.ndarray:
     """Probability of every subset of independent points present with
-    probabilities pi, in ascending mask order (bit i = point i); the
-    factors are multiplied in point order."""
-    low = np.array([1.0])
-    for p in pi:
-        low = np.concatenate([low * (1.0 - p), low * p])
+    probabilities pi (..., k), in ascending mask order (bit i = point i)
+    along the last axis; the factors are multiplied in point order."""
+    low = np.ones(pi.shape[:-1] + (1,))
+    for i in range(pi.shape[-1]):
+        p = pi[..., i:i + 1]
+        low = np.concatenate([low * (1.0 - p), low * p], axis=-1)
     return low
 
 
@@ -277,19 +278,20 @@ def _subset_widths(pts: np.ndarray, lo: int, high: np.ndarray) -> np.ndarray:
     """Least extent of the points ``high`` plus each subset of the points
     0..lo-1, in ascending mask order: the minimum over the candidate
     directions of ``geometry._least_extent``, with the extents of all
-    subsets taken from ``_max_table``.  inf where no candidate direction
-    applies."""
+    subsets taken from ``_max_table``.  ``pts`` is one point set (k, d) or
+    a batch of them (..., k, d), all with the same ``high``; the result has
+    shape (..., 2^lo).  inf where no candidate direction applies."""
     rows = max(1, _CHUNK >> lo)
-    width = np.full(1 << lo, np.inf)
+    width = np.full(pts.shape[:-2] + (1 << lo,), np.inf)
     for u in _candidate_directions(pts):
-        proj = u @ pts.T
-        top = proj[:, high].max(axis=1, initial=-np.inf)
-        neg_bottom = (-proj[:, high]).max(axis=1, initial=-np.inf)
-        for r in range(0, len(u), rows):
+        proj = u @ np.swapaxes(pts, -1, -2)  # (..., c, k)
+        top = proj[..., high].max(axis=-1, initial=-np.inf)
+        neg_bottom = (-proj[..., high]).max(axis=-1, initial=-np.inf)
+        for r in range(0, u.shape[-2], rows):
             # max - min over each subset, as max + max of the negation
-            ext = _max_table(proj[r:r + rows, :lo], top[r:r + rows])
-            ext += _max_table(-proj[r:r + rows, :lo], neg_bottom[r:r + rows])
-            np.fmin(width, np.fmin.reduce(ext, axis=0), out=width)
+            ext = _max_table(proj[..., r:r + rows, :lo], top[..., r:r + rows])
+            ext += _max_table(-proj[..., r:r + rows, :lo], neg_bottom[..., r:r + rows])
+            np.fmin(width, np.fmin.reduce(ext, axis=-2), out=width)
     return width
 
 

@@ -15,12 +15,16 @@ simplex being the witness: summed exactly when the cell has at most as many
 sub-realizations as samples, a Monte Carlo average otherwise.
 
 Both estimators read the cells from one stream, ``_witness_runs``, a run of
-``geometry._walk``'s prefixes at a time.  Every width here is the least
-extent over the candidate directions of ``geometry._least_extent``: the
-witness estimator evaluates the simplices of a run in one call of it, and
-the sampling estimator all distinct sampled subsets of a cell.  A cell
-summed exactly takes the widths of all its sub-realizations from the
-enumeration oracle's doubling table, ``dataset._subset_widths``.
+``geometry._walk``'s prefixes at a time: the witness estimator walks from
+one first vertex at a time, so that its mass cut sees the running total,
+and the sampling estimator, which cuts nothing, from every first vertex at
+once.  Every width here is the least extent over the candidate directions
+of ``geometry._least_extent``: the witness estimator evaluates the
+simplices of a run in one call of it, and the sampling estimator all
+distinct sampled subsets of a cell.  Cells summed exactly take the widths
+of all their sub-realizations from the enumeration oracle's doubling
+table, ``dataset._subset_widths``, in batches of cells with free sets of
+one size.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import CapabilityError, DatasetError
 from .geometry import (
     EPS_GEO,
     HULL_DIMS,
+    _CHUNK,
     _least_extent,
     _order_by_distance,
     _runs,
@@ -53,17 +58,19 @@ def width_simplex_factor(d: int) -> float:
     return 0.5 * 5.0 ** (-(d - 1))
 
 
-def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total=lambda: 0.0):
-    """The decomposition's cells led by first vertex v0, a run of
-    construction prefixes at a time; ``ranks`` are the points' ``lex_ranks``.
+def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, first, total=lambda: 0.0):
+    """The decomposition's cells led by the first vertex ``first``, an index
+    or an array of them, a run of construction prefixes at a time;
+    ``ranks`` are the points' ``lex_ranks``.
 
     Yields ``(bounds, verts, probs, excluded)``: the B + 1 offsets of the
     cells of the run's B construction prefixes, prefix i owning cells
     bounds[i]:bounds[i + 1], and per cell its (d + 1)-vertex construction
     order (prefix plus last vertex), its probability and the (cells, n)
     mask of the points it forces absent.  Prefixes come in ascending
-    lexicographic order, and so do the cells.  Runs without a cell are
-    skipped.  Callers loop over v0 in index order.
+    lexicographic order, and so do the cells, so the cells of an array of
+    first vertices are those of each one in turn, concatenated; only the
+    run boundaries differ.  Runs without a cell are skipped.
 
     The prefixes of d vertices come from ``geometry._walk``, with one
     ``dists_to_flat`` call per level batch, which drops degenerate flats,
@@ -78,7 +85,8 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, v0: int, total=lambd
     pts, pi = ds.points, ds.probs
     omp = 1.0 - pi
     levels = [lambda prefix: dists_to_flat(pts, pts[prefix])] * ds.dim
-    for prefix, excls, _, mass, dists in _walk(pts, pi, ranks, np.array([[v0]]), levels, total):
+    root = np.reshape(first, (-1, 1))
+    for prefix, excls, _, mass, dists in _walk(pts, pi, ranks, root, levels, total):
         last = ~excls & (dists > EPS_GEO)
         last[np.arange(len(prefix))[:, None], prefix] = False
         sizes = last.sum(axis=1)
@@ -189,6 +197,32 @@ def _count_rows(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return present[first], counts
 
 
+def _exact_cell_widths(pts, pi, verts, free_rows, sizes, exact):
+    """Each ``exact`` cell's expected width given the cell: the widths of
+    all 2^k sub-realizations of its k free points (free point j at bit j,
+    the simplex present) summed in ascending mask order; NaN elsewhere.
+    Cells of one free-set size go in batches of B, with B * directions *
+    max(2^k, d + 1 + k) at most ``_CHUNK``; every value has the bits of a
+    batch of one."""
+    d = pts.shape[1]
+    values = np.full(len(verts), np.nan)
+    for k in set(sizes[exact].tolist()):
+        size = k + d + 1
+        pairs = size * (size - 1) // 2
+        directions = pairs if d == 2 else pairs * (pairs - 1) // 2
+        step = max(1, _CHUNK // (directions * max(1 << k, size)))
+        cells = np.flatnonzero(exact & (sizes == k))
+        for s in range(0, len(cells), step):
+            c = cells[s:s + step]
+            free = np.nonzero(free_rows[c])[1].reshape(len(c), k)
+            # the free points in index order at bits 0..k-1, then the simplex
+            # sorted; the default int sort would page in numpy sort code
+            base = np.sort(verts[c], axis=1, kind="stable")
+            widths = _subset_widths(pts[np.hstack([free, base])], k, np.arange(k, size))
+            values[c] = np.cumsum(_subset_probs(pi[free]) * widths, axis=1)[:, -1]
+    return values
+
+
 def expected_width_fpras(
     ds: StochasticDataset, config: FprasConfig, *, stats: dict | None = None
 ) -> float:
@@ -207,6 +241,11 @@ def expected_width_fpras(
     deterministic given the seed.  If ``stats`` is given, its
     ``"sampled_cells"`` entry is set to the number of sampled cells; 0 means
     the result is the exact expectation.
+
+    One walk from every first vertex yields the cells.  In each run the
+    exact cells are evaluated in batches of equal free-set size
+    (``_exact_cell_widths``), and every cell's prob * value is then added
+    in stream order, so the sum has the bits of a cell-by-cell loop.
     """
     n = len(ds)
     d = ds.dim
@@ -217,24 +256,24 @@ def expected_width_fpras(
     total = 0.0
     m = fpras_sample_count(n, config.epsilon, gamma)
     pts, pi, ranks = ds.points, ds.probs, lex_ranks(ds.points)
-    runs = (run for v0 in range(n) for run in _witness_runs(ds, ranks, v0))
-    for _, verts, probs, excluded in runs:
+    for _, verts, probs, excluded in _witness_runs(ds, ranks, np.arange(n)):
         # a cell's free points: neither forced absent nor simplex vertices
         free_rows = ~excluded
         free_rows[np.arange(len(verts))[:, None], verts] = False
-        for cell, prob, row in zip(verts.tolist(), probs.tolist(), free_rows):
+        sizes = free_rows.sum(axis=1)
+        exact = (probs > 0.0) & (sizes < m.bit_length())  # 2^|free| <= m
+        values = _exact_cell_widths(pts, pi, verts, free_rows, sizes, exact)
+        cells = zip(verts.tolist(), probs.tolist(), exact.tolist(), values.tolist(), free_rows)
+        for cell, prob, summed, value, row in cells:
+            if summed:
+                total += prob * value
+                continue
             if not prob > 0.0:
                 continue
+            sampled += 1
             free = np.flatnonzero(row)
             base = sorted(cell)
             k = free.size
-            if 1 << k <= m:
-                # every sub-realization once: the simplex present, free[j] at bit j
-                simplex = np.arange(k, k + d + 1)
-                widths = _subset_widths(pts[[*free, *base]], k, simplex)
-                total += prob * _ordered_sum(0.0, _subset_probs(pi[free]), widths)
-                continue
-            sampled += 1
             rng = rng_stream(config.seed, *base)
             rows, hits = _count_rows(rng.random((m, k)) < pi[free])
             # one row per distinct sample: the simplex present, the free points drawn

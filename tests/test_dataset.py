@@ -24,7 +24,7 @@ from schull import (
     width_simplex_factor,
 )
 import schull.dataset
-from schull.dataset import ORACLE_STATISTICS, rng_stream
+from schull.dataset import ORACLE_STATISTICS, _subset_probs, _subset_widths, rng_stream
 
 from conftest import grid_dataset, random_dataset
 from reference import oracle_by_realization, pointset_width
@@ -247,6 +247,28 @@ def test_mask_oracle_blocks_do_not_change_bits(rng, monkeypatch):
     full = [values(ds) for ds in cases]
     monkeypatch.setattr(schull.dataset, "_CHUNK", 16)
     assert [values(ds) for ds in cases] == full
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_subset_tables_batch_equal_single_sets(rng, d):
+    # The sampling estimator evaluates its exact cells in batches, so every
+    # row of a batched call must have the bits of a call on its set alone.
+    # The high part is empty (the oracle's first block) or d + 1 points (a
+    # cell's simplex).  In space one set lies on one line: no candidate
+    # direction, so width inf.  No caller passes a set of no points.
+    for k, h in [(k, h) for k in range(7) for h in (0, d + 1) if k + h]:
+        sets = rng.uniform(-1.0, 1.0, size=(2, 3, k + h, d))
+        if d == 3:
+            sets[1, 2] = np.outer(rng.permutation(k + h) - 2.0, (1.0, 2.0, 3.0))
+        probs = rng.uniform(0.1, 0.95, size=(2, 3, k))
+        high = np.arange(k, k + h)
+        widths, table = _subset_widths(sets, k, high), _subset_probs(probs)
+        assert widths.shape == table.shape == (2, 3, 1 << k)
+        for i in np.ndindex(2, 3):
+            assert widths[i].tobytes() == _subset_widths(sets[i], k, high).tobytes()
+            assert table[i].tobytes() == _subset_probs(probs[i]).tobytes()
+        if d == 3:
+            assert np.isinf(widths[1, 2]).all()
 
 
 @pytest.mark.parametrize("points, faces", [

@@ -312,6 +312,26 @@ def test_width_witness_chunks_do_not_change_bits(rng, monkeypatch):
         assert [expected_width_witness(ds) for ds in cases] == full
 
 
+def test_witness_runs_from_all_first_vertices_concatenate(rng):
+    # The sampling estimator walks from every first vertex at once and adds
+    # its cells in stream order, so that stream must be the per-first-vertex
+    # streams one after another: the same cells, probabilities and masks in
+    # the same order.  Only the run boundaries may differ, and on these sets
+    # runs do hold cells of several first vertices.
+    def cells(runs):
+        return [(tuple(verts), float.hex(prob), row.tobytes())
+                for _, vs, probs, excluded in runs
+                for verts, prob, row in zip(vs.tolist(), probs.tolist(), excluded)]
+
+    for ds in [*_witness_bit_cases(rng), grid_dataset(rng, 14, 3)]:
+        ranks = lex_ranks(ds.points)
+        apart = [list(_witness_runs(ds, ranks, v0)) for v0 in range(len(ds))]
+        joint = list(_witness_runs(ds, ranks, np.arange(len(ds))))
+        assert cells(joint) == cells(run for runs in apart for run in runs)
+        if len(ds) > 2:
+            assert len(joint) < sum(map(len, apart))
+
+
 # --- sampling estimator ---
 
 
@@ -502,6 +522,36 @@ def test_fpras_values_pinned(rng):
         ("0x1.06af87def7a16p-2", 0), ("0x1.06af87def7a17p-2", 15),
         ("0x0.0p+0", 0), ("0x0.0p+0", 0),
     ]
+
+
+def test_fpras_exact_batches_do_not_change_bits(rng, monkeypatch):
+    # Every exact cell's value has the bits of a batch of one cell, so
+    # batches of one cell and of all cells of one free-set size in a run
+    # must reproduce the pinned values.  The budget is patched where the
+    # batch sizing reads it: a smaller geometry._CHUNK would also shrink
+    # the width kernel's direction chunks, whose matrix products may round
+    # differently.
+    cases = _fpras_bit_cases(rng)
+    full = [expected_width_fpras(ds, cfg) for ds, cfg in cases]
+    for chunk in (1, 1 << 40):
+        monkeypatch.setattr(schull.width, "_CHUNK", chunk)
+        assert [expected_width_fpras(ds, cfg) for ds, cfg in cases] == full
+
+
+@pytest.mark.parametrize("n, d, cfg", [(12, 3, FprasConfig(0.25)),
+                                       (20, 2, FprasConfig(0.25, gamma_override=4.0))])
+def test_fpras_memory(rng, n, d, cfg):
+    # The walk from every first vertex builds its levels _CHUNK // n
+    # prefixes at a time, and exact cells are summed in batches of at most
+    # _CHUNK values per work array.  The planar set samples cells too.
+    ds = random_dataset(rng, n, d)
+    tracemalloc.start()
+    try:
+        expected_width_fpras(ds, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_fpras_exact_up_to_sample_count(rng):
