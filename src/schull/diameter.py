@@ -45,9 +45,9 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     candidates, suffix product, spreads and row sum.  So besides (n, n)
     tables no work array holds more than about ``_CHUNK`` values (a
     tracemalloc peak of 2.0 MiB at n = 100 and 2.8 MiB at n = 150 on
-    random planar sets).  Each prefix's term is a dot product over its
-    full-length row, added on its own in prefix order, so batch sizes do
-    not change the result.
+    random planar sets).  Each prefix's term, one row of a ``np.vecdot``
+    over full-length rows, is added on its own in prefix order, so batch
+    sizes do not change the result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -105,8 +105,8 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
             span = np.maximum(dmat[prefix[ci, 1], prefix[ci, 2]][:, None], d_sorted[a])
             weights[ci, a] = left
             rows[ci, a] = (pic * suffix * span).sum(axis=1)
-        for k in range(len(prefix)):
-            total += float(np.dot(weights[k], rows[k]))
+        for term in np.vecdot(weights, rows).tolist():
+            total += term
     return total
 
 
@@ -120,12 +120,12 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
 
     Anchors are taken ``_CHUNK // n`` rows at a time (one block up to
     n = 128) against the partners after the block's first row, so no n x n
-    table is built.  Each anchor's term is added on its own in index order,
-    as a dot product over a full-length row.  Anchor a's term is at most
-    pre[a] times the bounding-box diagonal and pre never grows, so the loop
-    stops at the first block whose bound is ``_negligible``: after 48 of
-    2,000 anchors (6 blocks of 8) on a random planar set with probabilities
-    in [0.2, 0.9], and one block after a probability-1 point.
+    table is built.  Each anchor's term, one row of a ``np.vecdot`` over
+    full-length rows, is added on its own in index order.  Anchor a's term is
+    at most pre[a] times the bounding-box diagonal and pre never grows, so
+    the loop stops at the first block whose bound is ``_negligible``: after
+    48 of 2,000 anchors (6 blocks of 8) on a random planar set with
+    probabilities in [0.2, 0.9], and one block after a probability-1 point.
     """
     n = len(ds)
     pts, pi = ds.points, ds.probs
@@ -152,8 +152,8 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
         pr[rows, order] = np.where(
             later, (pi[anchors] * pre[anchors])[:, None] * pi[order] * suffix, 0.0)
         dist_rows[:, cols] = dist
-        for k in range(len(anchors)):
-            total += float(np.dot(pr[k], dist_rows[k]))
+        for term in np.vecdot(pr, dist_rows).tolist():
+            total += term
     return total
 
 

@@ -101,7 +101,7 @@ def dists_to_flat(points, spans) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(np.swapaxes(spans[:, 1:] - base, 1, 2))  # (B, d, k-1)
     ok = (np.abs(np.diagonal(r, axis1=1, axis2=2)) > EPS_GEO).all(axis=1)
     w = pts - base
-    w = w - (w @ q) @ np.swapaxes(q, 1, 2)
+    w -= (w @ q) @ np.swapaxes(q, 1, 2)
     return ok, np.linalg.norm(w, axis=2)
 
 
@@ -170,8 +170,9 @@ def _walk(pts, pi, ranks, root, levels, total):
     ``levels[k](prefix) -> (ok, ref)`` finds not ok.  The steps are the
     points neither excluded nor the last vertex that ``_steps`` keeps: the
     diameter's p3 may return to p1, and in space the width may step back
-    to v0, which the next flat drops on an exact zero pivot.  Children are
-    built ``_CHUNK // n`` at a time, each grown to the last level in turn.
+    to v0, which the next flat drops on an exact zero pivot.  Roots and
+    children go ``_CHUNK // n`` at a time, each grown to the last level in
+    turn.
     """
     omp = 1.0 - pi
     reach = _box_diagonal(pts)
@@ -198,7 +199,8 @@ def _walk(pts, pi, ranks, root, levels, total):
                 ref[b_s], ref[b_s, v_s][:, None], ranks, ranks[v_s][:, None]),
                 lead[b_s] * np.where(again, 1.0, pi[v_s]), level + 1)
 
-    yield from grow(root, ranks > ranks[root], pi[root[:, 0]], 0)
+    for first in (root[s:s + step] for s in range(0, len(root), step)):
+        yield from grow(first, ranks > ranks[first], pi[first[:, 0]], 0)
 
 
 def _candidate_directions(pts: np.ndarray) -> Iterator[np.ndarray]:

@@ -15,16 +15,14 @@ simplex being the witness: summed exactly when the cell has at most as many
 sub-realizations as samples, a Monte Carlo average otherwise.
 
 Both estimators read the cells from one stream, ``_witness_runs``, a run of
-``geometry._walk``'s prefixes at a time: the witness estimator walks from
-one first vertex at a time, so that its mass cut sees the running total,
-and the sampling estimator, which cuts nothing, from every first vertex at
-once.  Every width here is the least extent over the candidate directions
-of ``geometry._least_extent``: the witness estimator evaluates the
-simplices of a run in one call of it, and the sampling estimator all
-distinct sampled subsets of a cell.  Cells summed exactly take the widths
-of all their sub-realizations from the enumeration oracle's doubling
-table, ``dataset._subset_widths``, in batches of cells with free sets of
-one size.
+``geometry._walk``'s prefixes at a time, walked once from every first
+vertex; only the witness estimator cuts against its running total.  Every
+width here is the least extent over the candidate directions of
+``geometry._least_extent``: the witness estimator evaluates the simplices
+of a run in one call of it, and the sampling estimator all distinct
+sampled subsets of a cell.  Cells summed exactly take the widths of all
+their sub-realizations from the enumeration oracle's doubling table,
+``dataset._subset_widths``, in batches of cells with free sets of one size.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, first, total=lambda:
 
     The prefixes of d vertices come from ``geometry._walk``, with one
     ``dists_to_flat`` call per level batch, which drops degenerate flats,
-    and the mass cut against ``total()``, the running total.  The prefix
+    and the mass cut against ``total()``, read at every level.  The prefix
     mass serves every last vertex; each adds the points after it in the
     (distance to the prefix flat, lex) order.  The last vertices are the
     points off the prefix flat that beat no step: each is at most a tie
@@ -124,23 +122,23 @@ def expected_width_witness(ds: StochasticDataset) -> float:
 
     Each construction prefix adds its cells' probabilities times their
     simplices' widths, prefix by prefix; the widths come from one
-    width-kernel call per run of prefixes of ``_witness_runs``.  The result
-    is within [expected width / (2 * 5^(d-1)), expected width], restricted
-    to full-dimensional realizations.
+    width-kernel call per run of ``_witness_runs`` from every first vertex.
+    The result is within [expected width / (2 * 5^(d-1)), expected width],
+    restricted to full-dimensional realizations.
 
     A prefix's cells weigh at most its mass, so the walk drops, at every
-    tree level, the prefixes whose mass cannot change the running total.
+    tree level, the prefixes whose mass cannot change the running total;
+    first vertices cut against 0 fall with their children.  The sum has
+    the bits of one walk per first vertex, whose cells come in order.
     """
     if ds.dim not in HULL_DIMS:
         raise CapabilityError(f"width estimators support dimensions {HULL_DIMS}")
-    pts = ds.points
-    ranks = lex_ranks(pts)
-    total = 0.0
-    for v0 in range(len(ds)):
-        for bounds, verts, probs, _ in _witness_runs(ds, ranks, v0, lambda: total):
-            widths = _least_extent(pts[verts])
-            for lo, hi in zip(bounds, bounds[1:]):
-                total += float(probs[lo:hi] @ widths[lo:hi])
+    pts, ranks, total = ds.points, lex_ranks(ds.points), 0.0
+    for bounds, verts, probs, _ in _witness_runs(ds, ranks, np.arange(len(ds)), lambda: total):
+        widths = _least_extent(pts[verts])
+        # a product per prefix: padded rows would change ddot's blocks and bits
+        for lo, hi in zip(bounds, bounds[1:]):
+            total += float(probs[lo:hi] @ widths[lo:hi])
     return total
 
 

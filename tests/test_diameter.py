@@ -303,6 +303,20 @@ def test_witness_chunks_do_not_change_bits(rng, monkeypatch):
         assert [expected_diameter_witness(ds) for ds in cases] == full
 
 
+def test_vecdot_rows_equal_row_dots(rng):
+    # Both diameter sums take a batch's per-row terms from one np.vecdot
+    # and add each on its own, so their pinned bits rest on every row of
+    # it being the float64 dot of a 1-d np.dot over that row.  Rows hold
+    # exact zeros, as the masked weights do, and one is all zeros.
+    for n in [*range(1, 71), 100, 150, 300, 2000]:
+        weights = rng.uniform(0.0, 1.0, (9, n))
+        weights[rng.random((9, n)) < 0.6] = 0.0
+        weights[4] = 0.0
+        rows = rng.uniform(0.0, 3.0, (9, n))
+        assert ([float.hex(t) for t in np.vecdot(weights, rows).tolist()]
+                == [float.hex(float(np.dot(w, r))) for w, r in zip(weights, rows)]), n
+
+
 def test_witness_values_pinned(rng):
     # Bit patterns of the grouped sum on the seeded cases.  A reordered sum
     # or product moves the last bits, which the 1e-12 naive comparison

@@ -240,9 +240,9 @@ def test_width_witness_cuts_prefixes_below_first_vertex(rng, monkeypatch):
     first, leaf_rows = set(), [0]
 
     def counted(pts, spans):
-        # spans is (prefixes, vertices so far, d); row 0 starts at the first vertex
-        if spans.shape[1] == 1 and len(spans):
-            first.add(tuple(spans[0, 0]))
+        # spans is (prefixes, vertices so far, d); each row starts at its first vertex
+        if spans.shape[1] == 1:
+            first.update(map(tuple, spans[:, 0]))
         if spans.shape[1] == ds.dim:
             leaf_rows[0] += len(spans)
         return flat(pts, spans)
@@ -285,10 +285,12 @@ def test_width_witness_runs_values_pinned(rng):
 
 @pytest.mark.parametrize("n, d, mib", [(50, 2, 1), (40, 3, 2)])
 def test_witness_walk_memory_per_first_vertex(rng, n, d, mib):
-    # The tree levels of one first vertex at a time stay well under 1 MB at
-    # n = 50; holding every first vertex's level in one array traces about
-    # 3 MB.  In space, levels built _CHUNK // n prefixes at a time trace
-    # 1.4 MiB at n = 40; whole levels per first vertex traced 2.3 MiB.
+    # One walk from every first vertex, with roots and children taken
+    # _CHUNK // n at a time, traces 0.98 MiB at n = 50 (0.49 MiB walking one
+    # first vertex at a time); holding every first vertex's level in one
+    # array traced about 3 MB.  In space it traces 1.67 MiB at n = 40 (1.38
+    # MiB one first vertex at a time); whole levels per first vertex traced
+    # 2.3 MiB.
     ds = random_dataset(rng, n, d)
     tracemalloc.start()
     try:
@@ -330,6 +332,26 @@ def test_witness_runs_from_all_first_vertices_concatenate(rng):
         assert cells(joint) == cells(run for runs in apart for run in runs)
         if len(ds) > 2:
             assert len(joint) < sum(map(len, apart))
+
+
+def test_width_witness_equals_per_first_vertex_walks(rng):
+    # The witness walks once from every first vertex.  Its cells are the
+    # per-first-vertex streams concatenated, and the mass cut drops only
+    # additions that leave the total as it is, so the sum must equal one
+    # walk per first vertex, each cut against the running total, bit for
+    # bit.  The n = 60 set is the cut test's: the fixture's first draw.
+    def per_first_vertex(ds):
+        pts, ranks, total = ds.points, lex_ranks(ds.points), 0.0
+        for v0 in range(len(ds)):
+            for bounds, verts, probs, _ in _witness_runs(ds, ranks, v0, lambda: total):
+                widths = _least_extent(pts[verts])
+                for lo, hi in zip(bounds, bounds[1:]):
+                    total += float(probs[lo:hi] @ widths[lo:hi])
+        return total
+
+    cases = [random_dataset(rng, 60, 2), *_witness_bit_cases(rng), grid_dataset(rng, 14, 3)]
+    assert ([float.hex(expected_width_witness(ds)) for ds in cases]
+            == [float.hex(per_first_vertex(ds)) for ds in cases])
 
 
 # --- sampling estimator ---
