@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import StochasticDataset
+from .dataset import StochasticDataset, _ordered_sum
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import EPS_GEO, HULL_DIMS, as_point
 
@@ -249,8 +249,9 @@ def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
         raise CapabilityError(f"hyperplane sweep supports dimensions {HULL_DIMS}")
     pts = ds.points
     omp = 1.0 - ds.probs
+    ar = np.arange(n)
     for fixed in combinations(range(n), d - 1):
-        others = np.array([i for i in range(n) if i not in fixed], dtype=np.intp)
+        others = np.delete(ar, fixed)
         if not len(others):
             continue
         w = _complement(pts, fixed, others)
@@ -284,10 +285,9 @@ def expected_face_counts(ds: StochasticDataset) -> np.ndarray:
     realizations of at most d points are added from P(|R| = k).
     """
     pi = ds.probs
-    facets = 0.0
-    for fixed, new, left, right in _sweep_groups(ds):
-        both = left + right - left * right
-        facets += float(np.prod(pi[list(fixed)])) * float(np.dot(pi[new], both))
+    facets = _ordered_sum(0.0, [
+        np.prod(pi[list(fixed)]) * np.dot(pi[new], left + right - left * right)
+        for fixed, new, left, right in _sweep_groups(ds)])
     p = _size_probs(pi, ds.dim)
     if ds.dim == 2:
         return np.array([facets + p[1] + p[2], facets])

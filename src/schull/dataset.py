@@ -237,11 +237,16 @@ def _max_table(values: np.ndarray, init) -> np.ndarray:
     return t
 
 
-def _ordered_sum(total: float, prob: np.ndarray, value: np.ndarray) -> float:
-    """total plus prob * value summed term by term in ascending mask order."""
-    terms = prob * value
-    terms[0] += total
-    return float(np.cumsum(terms, out=terms)[-1])
+def _ordered_sum(total, terms):
+    """``total`` plus ``terms`` added one by one along the last axis, the bits
+    of a ``total += term`` loop, in place (a float array is overwritten):
+    ``total`` if there are none, else a float or an array over leading axes."""
+    terms = np.asarray(terms, dtype=np.float64)
+    if not terms.shape[-1]:
+        return total
+    terms[..., 0] += total
+    last = np.cumsum(terms, axis=-1, out=terms)[..., -1]
+    return float(last) if last.ndim == 0 else last
 
 
 def _exclusive_suffix_product(w: np.ndarray) -> np.ndarray:
@@ -466,8 +471,8 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
 
     Empty and singleton realizations contribute 0 to diameter and width.
     The complexity is the sum of ``oracle_face_expectations``.  Every
-    statistic is evaluated on all masks as arrays, its terms added one at a
-    time in ascending mask order.
+    statistic is evaluated on all masks as arrays, its terms added by
+    ``_ordered_sum`` in ascending mask order.
     """
     if statistic not in ORACLE_STATISTICS:
         raise CapabilityError(f"unknown statistic {statistic!r}")
@@ -480,10 +485,9 @@ def oracle_expectation(ds: StochasticDataset, statistic: str) -> float:
         return float(oracle_face_expectations(ds).sum())
     lo = min(len(ds), _CHUNK.bit_length() - 1)
     blocks = _diameter_blocks if statistic == "diameter" else _width_blocks
-    values = blocks(ds.points, lo)
     total = 0.0
-    for prob, value in zip(_mask_blocks(ds, lo), values):
-        total = _ordered_sum(total, prob, value)
+    for prob, value in zip(_mask_blocks(ds, lo), blocks(ds.points, lo)):
+        total = _ordered_sum(total, prob * value)
     return total
 
 
@@ -500,7 +504,7 @@ def oracle_face_expectations(ds: StochasticDataset) -> np.ndarray:
         raise CapabilityError(f"face oracle supports d in {HULL_DIMS}, got d={ds.dim}")
     lo = min(len(ds), _CHUNK.bit_length() - 1)
     blocks = _planar_face_blocks if ds.dim == 2 else _spatial_face_blocks
-    out = [0.0] * ds.dim
+    out = np.zeros(ds.dim)
     for prob, faces in zip(_mask_blocks(ds, lo), blocks(ds.points, lo)):
-        out = [_ordered_sum(t, prob, c) for t, c in zip(out, faces)]
-    return np.array(out)
+        out = _ordered_sum(out, prob * np.array(faces))
+    return out

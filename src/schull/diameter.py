@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import StochasticDataset, _exclusive_suffix_product, decode_text
-from .dataset import oracle_expectation
+from .dataset import StochasticDataset, _exclusive_suffix_product, _ordered_sum
+from .dataset import decode_text, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import _CHUNK, _box_diagonal, _negligible, _order_by_distance, _steps
 from .geometry import _walk, after_in_order, distance_matrix, lex_ranks
@@ -45,9 +45,9 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     candidates, suffix product, spreads and row sum.  So besides (n, n)
     tables no work array holds more than about ``_CHUNK`` values (a
     tracemalloc peak of 2.0 MiB at n = 100 and 2.8 MiB at n = 150 on
-    random planar sets).  Each prefix's term, one row of a ``np.vecdot``
-    over full-length rows, is added on its own in prefix order, so batch
-    sizes do not change the result.
+    random planar sets).  The prefixes' terms, the rows of a ``np.vecdot``
+    over full-length rows, go to ``_ordered_sum`` in prefix order, so
+    batch sizes do not change the result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -105,8 +105,7 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
             span = np.maximum(dmat[prefix[ci, 1], prefix[ci, 2]][:, None], d_sorted[a])
             weights[ci, a] = left
             rows[ci, a] = (pic * suffix * span).sum(axis=1)
-        for term in np.vecdot(weights, rows).tolist():
-            total += term
+        total = _ordered_sum(total, np.vecdot(weights, rows))
     return total
 
 
@@ -120,9 +119,9 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
 
     Anchors are taken ``_CHUNK // n`` rows at a time (one block up to
     n = 128) against the partners after the block's first row, so no n x n
-    table is built.  Each anchor's term, one row of a ``np.vecdot`` over
-    full-length rows, is added on its own in index order.  Anchor a's term is
-    at most pre[a] times the bounding-box diagonal and pre never grows, so
+    table is built.  The anchors' terms, rows of a ``np.vecdot`` over
+    full-length rows, go to ``_ordered_sum`` in index order.  Anchor a's
+    term is at most pre[a] times the box diagonal and pre never grows, so
     the loop stops at the first block whose bound is ``_negligible``: after
     48 of 2,000 anchors (6 blocks of 8) on a random planar set with
     probabilities in [0.2, 0.9], and one block after a probability-1 point.
@@ -152,8 +151,7 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
         pr[rows, order] = np.where(
             later, (pi[anchors] * pre[anchors])[:, None] * pi[order] * suffix, 0.0)
         dist_rows[:, cols] = dist
-        for term in np.vecdot(pr, dist_rows).tolist():
-            total += term
+        total = _ordered_sum(total, np.vecdot(pr, dist_rows))
     return total
 
 

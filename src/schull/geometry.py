@@ -148,7 +148,8 @@ def _negligible(bound, total: float):
     0 <= t < ulp(total) / 2 (Higham, "Accuracy and Stability of Numerical
     Algorithms", 2nd ed., §2.1), and a sum of non-negative terms only grows,
     its ulp with it.  So once no term left can reach half an ulp, the rest
-    of the sum is a no-op and cutting it keeps every bit.  The factor 4
+    of the sum is a no-op and cutting it keeps every bit, since
+    ``dataset._ordered_sum`` adds each term on its own.  The factor 4
     covers rounding in the bound and the terms; at total = 0 half an ulp
     rounds to 0, so nothing is negligible.  A witness prefix's mass times
     the box diagonal bounds each addition of its subtree (disjoint events

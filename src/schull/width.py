@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -120,11 +121,11 @@ def _last_vertices(dists, excls, b, c, ranks, omp):
 def expected_width_witness(ds: StochasticDataset) -> float:
     """Expected witness-simplex width, summed over the decomposition's cells.
 
-    Each construction prefix adds its cells' probabilities times their
-    simplices' widths, prefix by prefix; the widths come from one
-    width-kernel call per run of ``_witness_runs`` from every first vertex.
-    The result is within [expected width / (2 * 5^(d-1)), expected width],
-    restricted to full-dimensional realizations.
+    Each construction prefix's term, its cells' probabilities times their
+    simplices' widths, goes to ``_ordered_sum`` in stream order; the widths
+    come from one width-kernel call per run of ``_witness_runs`` from every
+    first vertex.  The result is within [expected width / (2 * 5^(d-1)),
+    expected width], restricted to full-dimensional realizations.
 
     A prefix's cells weigh at most its mass, so the walk drops, at every
     tree level, the prefixes whose mass cannot change the running total;
@@ -137,8 +138,7 @@ def expected_width_witness(ds: StochasticDataset) -> float:
     for bounds, verts, probs, _ in _witness_runs(ds, ranks, np.arange(len(ds)), lambda: total):
         widths = _least_extent(pts[verts])
         # a product per prefix: padded rows would change ddot's blocks and bits
-        for lo, hi in zip(bounds, bounds[1:]):
-            total += float(probs[lo:hi] @ widths[lo:hi])
+        total = _ordered_sum(total, [probs[lo:hi] @ widths[lo:hi] for lo, hi in pairwise(bounds)])
     return total
 
 
@@ -177,8 +177,9 @@ class FprasConfig:
             0.0 < self.gamma_override < math.inf
         ):
             raise DatasetError("gamma_override must be positive and finite")
-        if self.seed < 0:
-            raise DatasetError("seed must be non-negative")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DatasetError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _count_rows(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +218,7 @@ def _exact_cell_widths(pts, pi, verts, free_rows, sizes, exact):
             # sorted; the default int sort would page in numpy sort code
             base = np.sort(verts[c], axis=1, kind="stable")
             widths = _subset_widths(pts[np.hstack([free, base])], k, np.arange(k, size))
-            values[c] = np.cumsum(_subset_probs(pi[free]) * widths, axis=1)[:, -1]
+            values[c] = _ordered_sum(0.0, _subset_probs(pi[free]) * widths)
     return values
 
 
@@ -242,12 +243,11 @@ def expected_width_fpras(
 
     One walk from every first vertex yields the cells.  In each run the
     exact cells are evaluated in batches of equal free-set size
-    (``_exact_cell_widths``), and every cell's prob * value is then added
-    in stream order, so the sum has the bits of a cell-by-cell loop.
+    (``_exact_cell_widths``) and only the sampled cells one at a time; the
+    run's prob * value terms then go to ``_ordered_sum`` in stream order.
     """
     n = len(ds)
-    d = ds.dim
-    gamma = fpras_gamma(d)  # also the dimension check
+    gamma = fpras_gamma(ds.dim)  # also the dimension check
     if config.gamma_override is not None:
         gamma = config.gamma_override
     sampled = 0
@@ -259,25 +259,21 @@ def expected_width_fpras(
         free_rows = ~excluded
         free_rows[np.arange(len(verts))[:, None], verts] = False
         sizes = free_rows.sum(axis=1)
-        exact = (probs > 0.0) & (sizes < m.bit_length())  # 2^|free| <= m
+        live = probs > 0.0
+        exact = live & (sizes < m.bit_length())  # 2^|free| <= m
         values = _exact_cell_widths(pts, pi, verts, free_rows, sizes, exact)
-        cells = zip(verts.tolist(), probs.tolist(), exact.tolist(), values.tolist(), free_rows)
-        for cell, prob, summed, value, row in cells:
-            if summed:
-                total += prob * value
-                continue
-            if not prob > 0.0:
-                continue
+        for c in np.flatnonzero(live & ~exact):
             sampled += 1
-            free = np.flatnonzero(row)
-            base = sorted(cell)
-            k = free.size
+            free = np.flatnonzero(free_rows[c])
+            base = sorted(verts[c].tolist())
             rng = rng_stream(config.seed, *base)
-            rows, hits = _count_rows(rng.random((m, k)) < pi[free])
+            rows, hits = _count_rows(rng.random((m, free.size)) < pi[free])
             # one row per distinct sample: the simplex present, the free points drawn
-            present = np.hstack([np.ones((len(rows), d + 1), dtype=bool), rows])
+            present = np.hstack([np.ones((len(rows), len(base)), dtype=bool), rows])
             widths = _least_extent(pts[[*base, *free]], present)
-            total += prob * (_ordered_sum(0.0, hits, widths) / m)
+            values[c] = _ordered_sum(0.0, hits * widths) / m
+        # cells of probability 0 add an exact +0.0
+        total = _ordered_sum(total, np.where(live, probs * values, 0.0))
     if stats is not None:
         stats["sampled_cells"] = sampled
-    return float(total)
+    return total

@@ -24,7 +24,8 @@ from schull import (
     width_simplex_factor,
 )
 import schull.dataset
-from schull.dataset import ORACLE_STATISTICS, _subset_probs, _subset_widths, rng_stream
+from schull.dataset import ORACLE_STATISTICS, _ordered_sum, _subset_probs, _subset_widths
+from schull.dataset import rng_stream
 
 from conftest import grid_dataset, random_dataset
 from reference import oracle_by_realization, pointset_width
@@ -247,6 +248,41 @@ def test_mask_oracle_blocks_do_not_change_bits(rng, monkeypatch):
     full = [values(ds) for ds in cases]
     monkeypatch.setattr(schull.dataset, "_CHUNK", 16)
     assert [values(ds) for ds in cases] == full
+
+
+def _loop_sum(total, terms):
+    for term in terms:
+        total += term
+    return total
+
+
+def test_ordered_sum_equals_term_loop(rng):
+    # Every expectation adds its terms through _ordered_sum, and the bit pins
+    # and the mass cut rely on it adding them one at a time, in order.
+    # Magnitudes spread over 2^-60 .. 2^4 so that any other association of
+    # the additions shows in the bits.
+    for total in (0.0, 0.3):
+        assert _ordered_sum(total, np.zeros(0)) is total
+        assert _ordered_sum(total, []) is total
+        for k in (1, 2, 70, 1 << 14):
+            terms = rng.uniform(0.0, 1.0, k) * np.exp2(rng.integers(-60, 5, k))
+            terms[rng.random(k) < 0.2] = 0.0
+            want = _loop_sum(total, terms.tolist())
+            got = _ordered_sum(total, terms.copy())
+            assert type(got) is float
+            assert got.hex() == want.hex()
+            # a list of numpy scalars, as the width witness passes its dots
+            assert _ordered_sum(total, list(terms)).hex() == want.hex()
+    batch = rng.uniform(0.0, 1.0, (5, 70)) * np.exp2(rng.integers(-60, 5, (5, 70)))
+    batch[:, ::3] = 0.0
+    got = _ordered_sum(0.0, batch.copy())
+    assert got.shape == (5,)
+    for row, value in zip(batch, got.tolist()):
+        assert value.hex() == _loop_sum(0.0, row.tolist()).hex()
+    starts = rng.uniform(0.0, 1.0, 5)
+    got = _ordered_sum(starts, batch.copy())
+    for start, row, value in zip(starts.tolist(), batch, got.tolist()):
+        assert value.hex() == _loop_sum(start, row.tolist()).hex()
 
 
 @pytest.mark.parametrize("d", [2, 3])

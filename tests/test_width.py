@@ -377,6 +377,11 @@ def test_fpras_config_validation():
             FprasConfig(epsilon=0.1, gamma_override=gamma)
     with pytest.raises(DatasetError, match="seed"):
         FprasConfig(epsilon=0.1, seed=-1)
+    # a float or bool seed would run silently as int(seed)
+    for seed in (0.9, 1.0, True, False):
+        with pytest.raises(DatasetError, match="seed must be a non-negative integer"):
+            FprasConfig(epsilon=0.1, seed=seed)
+    assert FprasConfig(epsilon=0.1, seed=np.int64(3)).seed == 3
     # a finite gamma can still overflow the sample count
     with pytest.raises(DatasetError, match="not finite"):
         fpras_sample_count(12, 0.25, 1e308)
