@@ -62,7 +62,8 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_CAPABILITY = 4
 
-# Relative slack when judging oracle-vs-bracket containment.
+# Relative slack when judging oracle-vs-bracket containment, and an FPRAS
+# value with no sampled cell against the oracle.
 VERIFY_REL_SLACK = 1e-9
 
 
@@ -200,14 +201,19 @@ def _cmd_verify(args) -> int:
         raise CapabilityError(
             f"verification enumerates realizations; needs n <= {MAX_ENUM_POINTS}"
         )
-    value, bounds, _, _ = _run_estimator(ds, args.stat, method, args)
+    value, bounds, _, extra = _run_estimator(ds, args.stat, method, args)
     truth = value if method == "oracle" else oracle_expectation(ds, args.stat)
     if bounds is None:
-        # Sampling estimator: no deterministic bracket; report the gap only.
+        # Sampling estimator: no deterministic bracket; report the gap.  With
+        # no sampled cell the value is the exact expectation, held to the slack.
         rel = abs(value - truth) / truth if truth else abs(value)
         print(f"stat={args.stat} method={method} value={value!r} oracle={truth!r}")
         print(f"relative_error={rel!r} (no deterministic bracket for {method})")
-        return EXIT_OK
+        if extra["sampled_cells"]:
+            return EXIT_OK
+        ok = abs(value - truth) <= VERIFY_REL_SLACK * max(abs(value), abs(truth))
+        print(f"sampled_cells=0 equals_oracle={'yes' if ok else 'NO'}")
+        return EXIT_OK if ok else EXIT_VERIFY_FAILED
     lo, hi = bounds
     slack = VERIFY_REL_SLACK * max(abs(lo), abs(hi), abs(truth))
     ok = (lo - slack) <= truth <= (hi + slack)

@@ -170,14 +170,20 @@ def save_dataset(ds: StochasticDataset, path) -> None:
         fh.write(dataset_to_json(ds))
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative integer; a float or a bool
+    would otherwise run silently as int(seed).  Numpy integers pass."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DatasetError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for a (seed, key...) stream.
 
     Streams for different keys are statistically independent, so per-simplex
     sampling does not depend on enumeration order.
     """
-    if seed < 0:
-        raise DatasetError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
 
 

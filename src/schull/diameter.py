@@ -20,8 +20,8 @@ import numpy as np
 from .dataset import StochasticDataset, _exclusive_suffix_product, _ordered_sum
 from .dataset import decode_text, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import _CHUNK, _box_diagonal, _negligible, _order_by_distance, _steps
-from .geometry import _walk, after_in_order, distance_matrix, lex_ranks
+from .geometry import _CHUNK, _box_diagonal, _negligible, _order_by_distance, _order_keys
+from .geometry import _steps, _walk, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
@@ -33,15 +33,16 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     """Expected witness spread, grouped by the first four witness indices.
 
     For each prefix (p1, p2, p3, p4) the candidates for the fifth index
-    share one exclusion set A; sorting the rest by distance from p4 turns
-    the per-candidate exclusion products into one reversed cumulative
-    product.  Runs in O(n^5) time.
+    share one exclusion set A; sorting the rest by (exact distance, lex)
+    from p4 turns the per-candidate exclusion products into one reversed
+    cumulative product.  Runs in O(n^5) time.
 
     The (p1, p2, p3) prefixes come from ``geometry._walk``, with its mass
-    cut: p2 a step in the order from p1, p3 in the order from p2.  Each of
-    its batches of ``_CHUNK // n`` triples takes p4 by ``_steps`` in the
-    order from the probe and gives rows only to its valid (prefix, p4)
-    pairs, ``_CHUNK // n`` at a time: exclusion mask, sorted-frame
+    cut: p2 a step in the order from p1, p3 in the order from p2, both the
+    tie-class order of ``_order_keys``.  Each of its batches of ``_CHUNK //
+    n`` triples takes p4 by ``_steps`` in the key order from the probe; a
+    valid (prefix, p4) pair excludes the points of larger key.  Only those
+    pairs get rows, ``_CHUNK // n`` at a time: exclusion mask, sorted-frame
     candidates, suffix product, spreads and row sum.  So besides (n, n)
     tables no work array holds more than about ``_CHUNK`` values (a
     tracemalloc peak of 2.0 MiB at n = 100 and 2.8 MiB at n = 150 on
@@ -58,6 +59,7 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     omp = 1.0 - pi
     dmat = distance_matrix(pts)
     ranks = lex_ranks(pts)
+    dkeys = _order_keys(dmat, ranks)
     by_rank = np.argsort(ranks, kind="stable")
     ar = np.arange(n)
     perm = _order_by_distance(dmat[:, by_rank], by_rank)
@@ -70,26 +72,25 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     step = max(1, _CHUNK // n)
 
     def from_last(prefix):
-        return np.ones(len(prefix), dtype=bool), dmat[prefix[:, -1]]
+        return np.ones(len(prefix), dtype=bool), dkeys[prefix[:, -1]]
 
     def from_probe(prefix):
         p1, p2, p3 = prefix.T
         probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * dmat[p2, p3] / dmat[p1, p2])[:, None]
-        return np.ones(len(prefix), dtype=bool), distance_matrix(probe, pts)
+        return np.ones(len(prefix), dtype=bool), _order_keys(distance_matrix(probe, pts), ranks)
 
     total = 0.0
     levels = (from_last, from_last, from_probe)
-    for prefix, e3, lead, _, dpr in _walk(pts, pi, ranks, ar[:, None], levels, lambda: total):
+    for prefix, e3, lead, _, keys in _walk(pts, pi, ranks, ar[:, None], levels, lambda: total):
         # a prefix with no valid p4 adds an exact 0.0 below
-        pair_ci, pair_a = _steps(prefix, dpr, ranks, ~e3)
+        pair_ci, pair_a = _steps(prefix, keys, ~e3)
         weights = np.zeros((len(prefix), n))
         rows = np.zeros((len(prefix), n))
         for u in range(0, len(pair_a), step):
             ci, a = pair_ci[u : u + step], pair_a[u : u + step]
             v = np.arange(len(a))
             # one row per valid (prefix, p4) pair, over the point it may exclude
-            excl = e3[ci] | after_in_order(dpr[ci], dpr[ci, a][:, None],
-                                           ranks, ranks[a][:, None])
+            excl = e3[ci] | (keys[ci] > keys[ci, a][:, None])
             in_prefix = (prefix[ci] == a[:, None]).any(axis=1)
             left = np.where(excl, omp, 1.0).prod(axis=1)
             left *= lead[ci]

@@ -1,14 +1,14 @@
 """Deterministic geometric primitives.
 
 Everything downstream (estimators, enumeration oracles, the sweep) is built
-on the helpers in this module: the (distance, lex) order, in which the
-lexicographic point order breaks distance ties, distance tables,
-distance-to-flat computations, the width kernel, the width's ``_runs`` and,
-for both witness sums, the prefix walk ``_walk``, ``_steps`` and ``_negligible``.
-
-Ties and degeneracy are decided with a single absolute tolerance
-``EPS_GEO``; inputs are expected to be desk-scale (coordinates up to ~1e3).
-The width kernel, ``_least_extent``, needs no tolerance at any scale.
+on the helpers in this module: the (distance, lex) order ``_order_keys``,
+distance tables, distance-to-flat computations, the width kernel, the
+width's ``_runs`` and, for both witness sums, ``_walk``, ``_steps`` and
+``_negligible``.  The order cuts each row's sorted distances into tie
+classes at every gap above one absolute tolerance ``EPS_GEO``, the lex-larger
+point last within a class; degeneracy is decided with the same tolerance,
+for desk-scale inputs (coordinates up to ~1e3).  The width kernel,
+``_least_extent``, needs no tolerance at any scale.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import CapabilityError, GeometryError
 
 # Absolute tolerance for distance ties and degeneracy predicates.
 EPS_GEO = 1e-9
@@ -57,23 +57,27 @@ def lex_ranks(points) -> np.ndarray:
     return ranks
 
 
-def after_in_order(dist, ref, ranks, ref_rank):
-    """Mask of points strictly after the reference in the (distance, lex) order.
-
-    A point is after the reference when it is farther by more than EPS_GEO,
-    or tied within EPS_GEO and lex-larger.  The rule is elementwise, so a
-    column of references against a row of points gives the whole matrix.
-    """
-    tie = np.abs(dist - ref) <= EPS_GEO
-    return ((dist > ref) & ~tie) | (tie & (ranks > ref_rank))
+def _order_keys(dist: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Each row's (distance, lex) order as int32 keys: in row b of ``dist``
+    (B, n), "x after y" is key[x] > key[y].  A row's sorted distances start
+    a tie class at every gap above EPS_GEO, and key = class * n + lex rank:
+    a strict total order, and the pairwise rule (farther by more than
+    EPS_GEO, or within it and lex-larger) where no class spans more."""
+    if dist.shape[1] ** 2 > 2**31:
+        raise CapabilityError("int32 order keys hold at most 46,340 points a row")
+    rows = np.arange(len(dist))[:, None]
+    order = np.argsort(dist, axis=1, kind="stable")
+    keys = np.zeros(dist.shape, dtype=np.int32)  # the class of each sorted position
+    np.cumsum(np.diff(dist[rows, order], axis=1) > EPS_GEO, axis=1, out=keys[:, 1:])
+    keys[rows, order] = keys * dist.shape[1] + ranks.astype(np.int32)[order]
+    return keys
 
 
 def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each row's columns sorted by (distance, lex rank).
-
-    ``cols`` lists the columns of ``dist`` in ascending lex rank, so a stable
-    sort on distance alone breaks exact ties by rank, as
-    ``np.lexsort((ranks, dist_row))`` does.
+    """Each row's columns sorted by (exact distance, lex rank), a strict
+    order with no tolerance.  ``cols`` lists the columns of ``dist`` in
+    ascending lex rank, so a stable sort on distance alone breaks exact
+    ties by rank, as ``np.lexsort((ranks, dist_row))`` does.
     """
     return cols[np.argsort(dist, axis=1, kind="stable")]
 
@@ -122,18 +126,12 @@ def _runs(costs):
     yield slice(start, len(costs))
 
 
-def _steps(prefix, ref, ranks, cand):
+def _steps(prefix, keys, cand):
     """The construction steps (b, v) of ``cand`` (B, n), in row-major order,
-    that exclude no vertex of prefix b (B, k).  Taking v excludes the points
-    after it in the (distance in ``ref`` row b, lex) order.  A prefix
-    excludes none of its own vertices, or its step would have been dropped,
-    so only its columns are tested: one (B, n) ``after_in_order`` call each.
-    """
-    rows = np.arange(len(prefix))
-    ok = cand.copy()
-    for vert in prefix.T:
-        ok &= ~after_in_order(ref[rows, vert][:, None], ref, ranks[vert][:, None], ranks)
-    return np.nonzero(ok)
+    that exclude no vertex of prefix b (B, k): taking v excludes the points
+    of larger key in row b of ``keys``, the rows' ``_order_keys``."""
+    top = keys[np.arange(len(prefix))[:, None], prefix].max(axis=1)
+    return np.nonzero(cand & (keys >= top[:, None]))
 
 
 def _box_diagonal(pts: np.ndarray) -> float:
@@ -162,18 +160,19 @@ def _negligible(bound, total: float):
 def _walk(pts, pi, ranks, root, levels, total):
     """Construction prefixes grown from the one-point prefixes ``root`` (B, 1)
     one level at a time, depth first; yields the last level's ``(prefix,
-    excls, lead, mass, ref)`` batches in lexicographic order.
+    excls, lead, mass, keys)`` batches in lexicographic order.
 
     A first point excludes the lex-larger points; a prefix's mass is its
     lead (its distinct vertices present) times its excluded points absent.
     A level drops the prefixes whose mass times the box diagonal is
     ``_negligible`` against ``total()``, the running total, then those that
-    ``levels[k](prefix) -> (ok, ref)`` finds not ok.  The steps are the
-    points neither excluded nor the last vertex that ``_steps`` keeps: the
-    diameter's p3 may return to p1, and in space the width may step back
-    to v0, which the next flat drops on an exact zero pivot.  Roots and
-    children go ``_CHUNK // n`` at a time, each grown to the last level in
-    turn.
+    ``levels[k](prefix) -> (ok, keys)`` finds not ok; ``keys`` are the
+    ``_order_keys`` of the prefixes' reference rows.  A step excludes the
+    points of larger key, and the steps are the points neither excluded
+    nor the last vertex that ``_steps`` keeps: the diameter's p3 may return
+    to p1, and in space the width may step back to v0, which the next flat
+    drops on an exact zero pivot.  Roots and children go ``_CHUNK // n`` at
+    a time, each grown to the last level in turn.
     """
     omp = 1.0 - pi
     reach = _box_diagonal(pts)
@@ -184,21 +183,21 @@ def _walk(pts, pi, ranks, root, levels, total):
         keep = ~_negligible(mass * reach, total())
         if not keep.any():
             return
-        ok, ref = levels[level](prefix[keep])
+        ok, keys = levels[level](prefix[keep])
         keep[keep] = ok
-        prefix, excls, lead, mass, ref = prefix[keep], excls[keep], lead[keep], mass[keep], ref[ok]
+        prefix, excls, lead, mass, keys = prefix[keep], excls[keep], lead[keep], mass[keep], keys[ok]
         if level + 1 == len(levels):
-            yield prefix, excls, lead, mass, ref
+            yield prefix, excls, lead, mass, keys
             return
         cand = ~excls
         cand[np.arange(len(prefix)), prefix[:, -1]] = False
-        b, v = _steps(prefix, ref, ranks, cand)
+        b, v = _steps(prefix, keys, cand)
         for s in range(0, len(b), step):
             b_s, v_s = b[s:s + step], v[s:s + step]
             again = (prefix[b_s] == v_s[:, None]).any(axis=1)
-            yield from grow(np.column_stack([prefix[b_s], v_s]), excls[b_s] | after_in_order(
-                ref[b_s], ref[b_s, v_s][:, None], ranks, ranks[v_s][:, None]),
-                lead[b_s] * np.where(again, 1.0, pi[v_s]), level + 1)
+            yield from grow(np.column_stack([prefix[b_s], v_s]),
+                            excls[b_s] | (keys[b_s] > keys[b_s, v_s][:, None]),
+                            lead[b_s] * np.where(again, 1.0, pi[v_s]), level + 1)
 
     for first in (root[s:s + step] for s in range(0, len(root), step)):
         yield from grow(first, ranks > ranks[first], pi[first[:, 0]], 0)

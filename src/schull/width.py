@@ -33,18 +33,16 @@ from itertools import pairwise
 
 import numpy as np
 
-from .dataset import StochasticDataset, _ordered_sum, _subset_probs, _subset_widths
-from .dataset import rng_stream
+from .dataset import StochasticDataset, _exclusive_suffix_product, _ordered_sum
+from .dataset import _check_seed, _subset_probs, _subset_widths, rng_stream
 from .errors import CapabilityError, DatasetError
 from .geometry import (
-    EPS_GEO,
     HULL_DIMS,
     _CHUNK,
     _least_extent,
-    _order_by_distance,
+    _order_keys,
     _runs,
     _walk,
-    after_in_order,
     dists_to_flat,
     lex_ranks,
 )
@@ -74,48 +72,50 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, first, total=lambda:
     The prefixes of d vertices come from ``geometry._walk``, with one
     ``dists_to_flat`` call per level batch, which drops degenerate flats,
     and the mass cut against ``total()``, read at every level.  The prefix
-    mass serves every last vertex; each adds the points after it in the
-    (distance to the prefix flat, lex) order.  The last vertices are the
-    points off the prefix flat that beat no step: each is at most a tie
-    with every earlier vertex and then lex-smaller, so it recovers to the
-    prefix plus itself.  Runs are cut at ``_CHUNK`` (cell, point) values;
-    a prefix whose cells hold more than that forms a run of its own.
+    mass serves every last vertex; each adds the points of larger key in
+    the ``_order_keys`` of the distances to the prefix flat.  The last
+    vertices lie outside the tie class of the flat's own points (key n or
+    more), so each beats no step and recovers to the prefix plus itself.
+    Runs are cut at ``_CHUNK`` (cell, point) values; a prefix whose cells
+    hold more than that forms a run of its own.
     """
     pts, pi = ds.points, ds.probs
     omp = 1.0 - pi
-    levels = [lambda prefix: dists_to_flat(pts, pts[prefix])] * ds.dim
+
+    def level(prefix):
+        ok, dists = dists_to_flat(pts, pts[prefix])
+        return ok, _order_keys(dists, ranks)
+
+    levels = [level] * ds.dim
     root = np.reshape(first, (-1, 1))
-    for prefix, excls, _, mass, dists in _walk(pts, pi, ranks, root, levels, total):
-        last = ~excls & (dists > EPS_GEO)
-        last[np.arange(len(prefix))[:, None], prefix] = False
+    for prefix, excls, _, mass, keys in _walk(pts, pi, ranks, root, levels, total):
+        last = ~excls & (keys >= len(pi))  # off the tie class of the flat's own points
         sizes = last.sum(axis=1)
         for rows in _runs(sizes * len(pi)):
             b, c = np.nonzero(last[rows])
             if not c.size:
                 continue
-            none_after, excluded = _last_vertices(dists[rows], excls[rows], b, c, ranks, omp)
+            none_after, excluded = _last_vertices(keys[rows], excls[rows], b, c, omp)
             bounds = [0, *np.cumsum(sizes[rows]).tolist()]
             probs = mass[rows][b] * pi[c] * none_after
             yield bounds, np.column_stack([prefix[rows][b], c]), probs, excluded
 
 
-def _last_vertices(dists, excls, b, c, ranks, omp):
+def _last_vertices(keys, excls, b, c, omp):
     """For the (prefix, last vertex) cells (b, c) of B prefixes with (B, n)
-    distances to their flats and exclusion masks: the probability that no
-    point after c in the (distance to the prefix flat, lex) order is
-    present, over the points the prefix does not already exclude, and the
-    (cells, n) mask of the points the cell forces absent.
-    """
-    after = after_in_order(dists[b], dists[b, c, None], ranks, ranks[c, None])
-    # Multiply far to near, one factor at a time, so the rounding is that of
-    # a suffix product over each prefix's sorted order.  by_rank comes from a
-    # stable sort: the default one for an int array pages in about 0.25 MB of
-    # numpy sort code (process RSS) that the FPRAS uses nowhere else.
-    by_rank = np.argsort(ranks, kind="stable")
-    far = _order_by_distance(dists[:, by_rank], by_rank)[:, ::-1]
-    absent = np.where(np.take_along_axis(excls, far, axis=1), 1.0, omp[far])
-    w = np.where(np.take_along_axis(after, far[b], axis=1), absent[b], 1.0)
-    return np.cumprod(w, axis=1, out=w)[:, -1].copy(), after | excls[b]
+    ``_order_keys`` of the distances to their flats and exclusion masks: the
+    probability that no point after c is present, over the points the prefix
+    does not already exclude, and the (cells, n) mask of the points the cell
+    forces absent.  Those after c are a suffix of the row sorted by key, so
+    one suffix product per prefix, multiplied far to near, serves every
+    cell.  Sorts are stable: the default int sort pages in about 0.25 MB of
+    numpy sort code that the FPRAS uses nowhere else."""
+    near = np.argsort(keys, axis=1, kind="stable")
+    rows = np.arange(len(keys))[:, None]
+    none_after = np.empty(keys.shape)
+    none_after[rows, near] = _exclusive_suffix_product(
+        np.where(excls[rows, near], 1.0, omp[near]))
+    return none_after[b, c], excls[b] | (keys[b] > keys[b, c, None])
 
 
 def expected_width_witness(ds: StochasticDataset) -> float:
@@ -177,9 +177,7 @@ class FprasConfig:
             0.0 < self.gamma_override < math.inf
         ):
             raise DatasetError("gamma_override must be positive and finite")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DatasetError(f"seed must be a non-negative integer, got {seed!r}")
+        _check_seed(self.seed)
 
 
 def _count_rows(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,18 @@ def grid_dataset(rng, n, d, side=3, pmin=0.1, pmax=0.95) -> StochasticDataset:
     return StochasticDataset(pts, rng.uniform(pmin, pmax, size=n))
 
 
+def chain_dataset(k, gap=0.6e-9, prob=0.9) -> StochasticDataset:
+    """The lex-largest point v0 = (10, 0) and k points at distance 5 + i * gap
+    from it, at angles falling from 1.45 to 0.3 rad: lex rank falls as the
+    distance rises, so consecutive points are ties within EPS_GEO but the
+    ends of the chain are not."""
+    v0 = np.array([10.0, 0.0])
+    a = np.linspace(1.45, 0.3, k)
+    r = 5.0 + np.arange(k) * gap
+    pts = np.vstack([v0, v0 + r[:, None] * np.column_stack([-np.cos(a), np.sin(a)])])
+    return StochasticDataset(pts, np.full(k + 1, prob))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)

@@ -14,13 +14,26 @@ from schull.geometry import (
     EPS_GEO,
     HULL_DIMS,
     _least_extent,
-    after_in_order,
     as_points,
     distance_matrix,
     dists_to_flat,
     lex_ranks,
 )
 from schull.width import _witness_runs
+
+
+def after_in_order(dist, ref, ranks, ref_rank):
+    """Mask of points strictly after the reference in the (distance, lex) order.
+
+    A point is after the reference when it is farther by more than EPS_GEO,
+    or tied within EPS_GEO and lex-larger.  The rule is elementwise, so a
+    column of references against a row of points gives the whole matrix.
+    It is the package's tie-class order (``geometry._order_keys``) on every
+    row where no run of near ties spans more than EPS_GEO, which holds for
+    every input the references are compared on.
+    """
+    tie = np.abs(dist - ref) <= EPS_GEO
+    return ((dist > ref) & ~tie) | (tie & (ranks > ref_rank))
 
 
 def enumerate_realizations(ds) -> list[tuple[tuple[int, ...], float]]:

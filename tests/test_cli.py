@@ -195,6 +195,29 @@ def test_verify_fpras_reports_gap(tmp_path, capsys):
     assert "relative_error=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sampled", [0, 3])
+def test_verify_fpras_fails_only_when_exact(tmp_path, capsys, monkeypatch, sampled):
+    # With no sampled cell the FPRAS value is the exact expectation, so a
+    # miss beyond the slack fails; a sampled estimate only reports its gap.
+    path = _gen(tmp_path, n=8)
+    truth = oracle_expectation(load_dataset(path), "width")
+    argv = ["verify", "--input", str(path), "--stat", "width", "--method", "fpras"]
+    assert main(argv) == 0
+    assert "sampled_cells=0 equals_oracle=yes" in capsys.readouterr().out
+
+    def off(ds, config, *, stats):
+        stats["sampled_cells"] = sampled
+        return truth * (1.0 + 1e-6)
+
+    monkeypatch.setattr(cli, "expected_width_fpras", off)
+    rc = main(argv)
+    out = capsys.readouterr().out
+    if sampled:
+        assert rc == 0 and "relative_error=" in out and "equals_oracle" not in out
+    else:
+        assert rc == 1 and "sampled_cells=0 equals_oracle=NO" in out
+
+
 def test_verify_too_large(tmp_path, capsys):
     path = _gen(tmp_path, n=23)
     rc = main(["verify", "--input", str(path), "--stat", "diameter"])

@@ -165,6 +165,14 @@ def test_rng_stream_rejects_negative_seed():
         rng_stream(-1, 2)
 
 
+def test_rng_stream_rejects_float_and_bool_seeds():
+    # rng_stream(0.9) would draw as rng_stream(0), and True as 1
+    for seed in (0.9, 1.0, True, False):
+        with pytest.raises(DatasetError, match="seed must be a non-negative integer"):
+            rng_stream(seed, 2)
+    assert np.array_equal(rng_stream(np.int64(3), 2).random(4), rng_stream(3, 2).random(4))
+
+
 def test_oracle_two_point_diameter():
     ds = make([[0.0, 0.0], [3.0, 4.0]], [0.5, 0.4])
     assert oracle_expectation(ds, "diameter") == pytest.approx(0.5 * 0.4 * 5.0)

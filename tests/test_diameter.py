@@ -23,10 +23,12 @@ from schull import (
 import schull.diameter
 import schull.geometry
 from schull.diameter import double_simplex, regular_simplex
-from schull.geometry import after_in_order, distance_matrix, lex_ranks
+from schull.cli import VERIFY_REL_SLACK
+from schull.geometry import _order_keys, distance_matrix, lex_ranks
 
-from conftest import grid_dataset, random_dataset, random_points
+from conftest import chain_dataset, grid_dataset, random_dataset, random_points
 from reference import (
+    after_in_order,
     expectation_by_realization,
     expected_diameter_witness_naive,
     witness_sequence,
@@ -75,6 +77,19 @@ def test_witness_expectation_brackets_oracle(rng):
         o = oracle_expectation(ds, "diameter")
         assert v <= o + 1e-9
         assert o <= v * DIAMETER_WITNESS_FACTOR + 1e-9
+
+
+@pytest.mark.parametrize("k", [3, 6, 10])
+def test_witness_brackets_oracle_on_chain_sets(k):
+    # A chain of near ties from the first point: each realization still has
+    # one witness sequence, so the bracket holds (the pairwise tie rule read
+    # 1.73 against an oracle of 5.30 at k = 3).
+    ds = chain_dataset(k)
+    lo = expected_diameter_witness(ds)
+    hi = lo * DIAMETER_WITNESS_FACTOR
+    truth = oracle_expectation(ds, "diameter")
+    slack = VERIFY_REL_SLACK * max(lo, hi, truth)
+    assert lo - slack <= truth <= hi + slack
 
 
 def test_singleton_dataset_zero():
@@ -269,7 +284,7 @@ def test_steps_match_brute_force(rng):
                 want = [(b, v) for b in range(12) for v in range(n) if cand[b, v]
                         and not any(after_in_order(ref[b, p], ref[b, v], ranks[p], ranks[v])
                                     for p in prefix[b])]
-                got = schull.geometry._steps(prefix, ref, ranks, cand)
+                got = schull.geometry._steps(prefix, _order_keys(ref, ranks), cand)
                 assert list(zip(*(x.tolist() for x in got))) == want
         # (b) p2 and then p3, chained through the prefix walk as the
         # diameter witness chains them, with nothing cut, give the valid
@@ -283,7 +298,7 @@ def test_steps_match_brute_force(rng):
                 want.append((p1, p2, p3))
 
         def from_last(prefix):
-            return np.ones(len(prefix), dtype=bool), dmat[prefix[:, -1]]
+            return np.ones(len(prefix), dtype=bool), _order_keys(dmat[prefix[:, -1]], ranks)
 
         walk = schull.geometry._walk(pts, np.full(n, 0.5), ranks, np.arange(n)[:, None],
                                      [from_last] * 3, lambda: 0.0)

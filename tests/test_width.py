@@ -20,11 +20,13 @@ from schull import (
 )
 import schull.geometry
 import schull.width
+from schull.cli import VERIFY_REL_SLACK
+from schull.complexity import _size_probs
 from schull.dataset import rng_stream
 from schull.geometry import _CHUNK, _least_extent, lex_ranks
 from schull.width import _count_rows, _witness_runs
 
-from conftest import grid_dataset, random_dataset, random_points
+from conftest import chain_dataset, grid_dataset, random_dataset, random_points
 from reference import (
     affine_rank,
     enumerate_realizations,
@@ -363,6 +365,25 @@ def test_fpras_sample_count():
     )
     assert fpras_gamma(2) == pytest.approx(200.0)
     assert fpras_gamma(3) == pytest.approx(3 * 2500.0)
+
+
+@pytest.mark.parametrize("k", [3, 6, 10])
+def test_cells_partition_chain_sets(k):
+    # A chain of near ties from the first vertex.  Its planar realizations
+    # of at least three points are full-dimensional, and each has one cell,
+    # so the cells' probabilities sum to P(|R| >= 3) up to rounding; the
+    # pairwise tie rule left 0.29 of 0.95 without a cell at k = 3.  The
+    # FPRAS sums every cell exactly here, so it equals the oracle.
+    ds = chain_dataset(k)
+    probs = np.concatenate([p for *_, p, _ in _witness_runs(ds, lex_ranks(ds.points),
+                                                               np.arange(len(ds)))])
+    tail = _size_probs(ds.probs, 2)[-1]
+    assert abs(probs.sum() - tail) <= 4 * len(probs) * np.finfo(float).eps
+    stats = {}
+    value = expected_width_fpras(ds, FprasConfig(0.1), stats=stats)
+    truth = oracle_expectation(ds, "width")
+    assert stats["sampled_cells"] == 0
+    assert abs(value - truth) <= VERIFY_REL_SLACK * truth
 
 
 def test_fpras_config_validation():
