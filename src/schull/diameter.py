@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import StochasticDataset, _exclusive_suffix_product, _ordered_sum
 from .dataset import decode_text, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
-from .geometry import _CHUNK, _box_diagonal, _negligible, _order_by_distance, _order_keys
+from .geometry import _CHUNK, _box_diagonal, _negligible, _order_keys
 from .geometry import _steps, _walk, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
@@ -33,22 +33,25 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     """Expected witness spread, grouped by the first four witness indices.
 
     For each prefix (p1, p2, p3, p4) the candidates for the fifth index
-    share one exclusion set A; sorting the rest by (exact distance, lex)
-    from p4 turns the per-candidate exclusion products into one reversed
-    cumulative product.  Runs in O(n^5) time.
+    share one exclusion set A; sorting the points by their ``_order_keys``
+    from p4, the order of the other four contests, turns the per-candidate
+    exclusion products into one suffix product.  The present vertices
+    p1..p4 enter it as absence factor 0, so a fifth point before one of
+    them gets 0.  Runs in O(n^5) time.
 
     The (p1, p2, p3) prefixes come from ``geometry._walk``, with its mass
     cut: p2 a step in the order from p1, p3 in the order from p2, both the
     tie-class order of ``_order_keys``.  Each of its batches of ``_CHUNK //
     n`` triples takes p4 by ``_steps`` in the key order from the probe; a
     valid (prefix, p4) pair excludes the points of larger key.  Only those
-    pairs get rows, ``_CHUNK // n`` at a time: exclusion mask, sorted-frame
-    candidates, suffix product, spreads and row sum.  So besides (n, n)
-    tables no work array holds more than about ``_CHUNK`` values (a
-    tracemalloc peak of 2.0 MiB at n = 100 and 2.8 MiB at n = 150 on
-    random planar sets).  The prefixes' terms, the rows of a ``np.vecdot``
-    over full-length rows, go to ``_ordered_sum`` in prefix order, so
-    batch sizes do not change the result.
+    pairs get rows, ``_CHUNK // n`` at a time: exclusion mask, absence
+    factors and fifth-point probabilities in key order, suffix product,
+    spreads and row sum.  So besides (n, n) tables no work array holds
+    more than about ``_CHUNK`` values (a tracemalloc peak of 1.8 MiB at
+    n = 100 and 2.4 MiB at n = 150 on random planar sets).  The prefixes'
+    terms, the rows of a ``np.vecdot`` over full-length rows, go to
+    ``_ordered_sum`` in prefix order, so batch sizes do not change the
+    result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -60,15 +63,9 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     dmat = distance_matrix(pts)
     ranks = lex_ranks(pts)
     dkeys = _order_keys(dmat, ranks)
-    by_rank = np.argsort(ranks, kind="stable")
-    ar = np.arange(n)
-    perm = _order_by_distance(dmat[:, by_rank], by_rank)
-    pos = np.empty((n, n), dtype=np.intp)
-    pos[ar[:, None], perm] = ar
+    perm = np.argsort(dkeys, axis=1, kind="stable")  # each row's points in key order
     d_sorted = np.take_along_axis(dmat, perm, axis=1)
-    omp_sorted = omp[perm]
-    pi_sorted = pi[perm]
-    self_pos = pos[ar, ar]
+    ar = np.arange(n)
     step = max(1, _CHUNK // n)
 
     def from_last(prefix):
@@ -95,17 +92,19 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
             left = np.where(excl, omp, 1.0).prod(axis=1)
             left *= lead[ci]
             left *= np.where(in_prefix, 1.0, pi[a])
-            cand = ~excl[v[:, None], perm[a]]
-            cand[v, self_pos[a]] = False  # p4 itself is never the fifth point
-            suffix = _exclusive_suffix_product(np.where(cand, omp_sorted[a], 1.0))
-            cols = pos[a, prefix[ci].T]  # p1, p2 and p3 in the sorted frame of p4
-            ok = cand & (ar >= cols.max(axis=0)[:, None])
-            pic = np.where(ok, pi_sorted[a], 0.0)
-            for col in cols:
-                pic[v, col] = np.where(ok[v, col], 1.0, 0.0)
+            # the cell's absence factors and fifth-point probabilities, with
+            # p1..p4 present: a fifth point before one of them in p4's key
+            # order gets a 0 suffix, and p4 itself is never the fifth point
+            absent = np.where(excl, 1.0, omp)
+            fifth = np.where(excl, 0.0, pi)
+            absent[v[:, None], prefix[ci]] = 0.0
+            fifth[v[:, None], prefix[ci]] = 1.0
+            absent[v, a] = fifth[v, a] = 0.0
+            frame = v[:, None], perm[a]
+            suffix = _exclusive_suffix_product(absent[frame])
             span = np.maximum(dmat[prefix[ci, 1], prefix[ci, 2]][:, None], d_sorted[a])
             weights[ci, a] = left
-            rows[ci, a] = (pic * suffix * span).sum(axis=1)
+            rows[ci, a] = (fifth[frame] * suffix * span).sum(axis=1)
         total = _ordered_sum(total, np.vecdot(weights, rows))
     return total
 
@@ -142,7 +141,9 @@ def expected_diameter_two_approx(ds: StochasticDataset) -> float:
         anchors = np.arange(a, min(a + block, n - 1))
         cols = by_rank[by_rank > a]  # partners j > a, ascending lex rank
         dist = distance_matrix(pts[anchors], pts[cols])
-        order = _order_by_distance(dist, cols)
+        # (exact distance, lex) order: cols ascend in lex rank, so a stable
+        # sort on distance breaks exact ties as np.lexsort((ranks, row)) does
+        order = cols[np.argsort(dist, axis=1, kind="stable")]
         # only partners after the anchor count, as points or as exclusions
         later = order > anchors[:, None]
         suffix = _exclusive_suffix_product(np.where(later, omp[order], 1.0))

@@ -6,8 +6,10 @@ distance tables, distance-to-flat computations, the width kernel, the
 width's ``_runs`` and, for both witness sums, ``_walk``, ``_steps`` and
 ``_negligible``.  The order cuts each row's sorted distances into tie
 classes at every gap above one absolute tolerance ``EPS_GEO``, the lex-larger
-point last within a class; degeneracy is decided with the same tolerance,
-for desk-scale inputs (coordinates up to ~1e3).  The width kernel,
+point last within a class; it is the one order of every contest of both
+witness sums (the 2-approximation sorts by exact distance inline, with no
+tolerance).  Degeneracy is decided with the same tolerance, for
+desk-scale inputs (coordinates up to ~1e3).  The width kernel,
 ``_least_extent``, needs no tolerance at any scale.
 """
 
@@ -71,15 +73,6 @@ def _order_keys(dist: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     np.cumsum(np.diff(dist[rows, order], axis=1) > EPS_GEO, axis=1, out=keys[:, 1:])
     keys[rows, order] = keys * dist.shape[1] + ranks.astype(np.int32)[order]
     return keys
-
-
-def _order_by_distance(dist: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each row's columns sorted by (exact distance, lex rank), a strict
-    order with no tolerance.  ``cols`` lists the columns of ``dist`` in
-    ascending lex rank, so a stable sort on distance alone breaks exact
-    ties by rank, as ``np.lexsort((ranks, dist_row))`` does.
-    """
-    return cols[np.argsort(dist, axis=1, kind="stable")]
 
 
 def distance_matrix(pts: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:

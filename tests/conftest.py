@@ -12,6 +12,7 @@ import pytest
 
 from schull import StochasticDataset
 from schull.complexity import _sweep_groups
+from schull.geometry import EPS_GEO
 
 from reference import expectation_by_realization
 
@@ -43,6 +44,14 @@ def chain_dataset(k, gap=0.6e-9, prob=0.9) -> StochasticDataset:
     r = 5.0 + np.arange(k) * gap
     pts = np.vstack([v0, v0 + r[:, None] * np.column_stack([-np.cos(a), np.sin(a)])])
     return StochasticDataset(pts, np.full(k + 1, prob))
+
+
+# Chain sets at gaps of 0.3, 0.6 and 0.9 EPS_GEO and k = 3, 6 and 10 points,
+# as (k, gap) parameters.  At 0.3 each point lies within EPS_GEO of three
+# neighbours on each side, not one.  An id names the gap only where it is
+# not chain_dataset's default.
+CHAIN_CASES = [pytest.param(k, g * EPS_GEO, id=str(k) if g == 0.6 else f"{k}-gap{g}")
+               for g in (0.3, 0.6, 0.9) for k in (3, 6, 10)]
 
 
 @pytest.fixture

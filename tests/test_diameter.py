@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from schull.diameter import double_simplex, regular_simplex
 from schull.cli import VERIFY_REL_SLACK
 from schull.geometry import _order_keys, distance_matrix, lex_ranks
 
-from conftest import chain_dataset, grid_dataset, random_dataset, random_points
+from conftest import CHAIN_CASES, chain_dataset, grid_dataset, random_dataset, random_points
 from reference import (
     after_in_order,
     expectation_by_realization,
@@ -79,17 +79,56 @@ def test_witness_expectation_brackets_oracle(rng):
         assert o <= v * DIAMETER_WITNESS_FACTOR + 1e-9
 
 
-@pytest.mark.parametrize("k", [3, 6, 10])
-def test_witness_brackets_oracle_on_chain_sets(k):
+@pytest.mark.parametrize("k, gap", CHAIN_CASES)
+def test_witness_brackets_oracle_on_chain_sets(k, gap):
     # A chain of near ties from the first point: each realization still has
     # one witness sequence, so the bracket holds (the pairwise tie rule read
-    # 1.73 against an oracle of 5.30 at k = 3).
-    ds = chain_dataset(k)
+    # 1.73 against an oracle of 5.30 at k = 3 and gap 0.6e-9).
+    ds = chain_dataset(k, gap)
     lo = expected_diameter_witness(ds)
     hi = lo * DIAMETER_WITNESS_FACTOR
     truth = oracle_expectation(ds, "diameter")
     slack = VERIFY_REL_SLACK * max(lo, hi, truth)
     assert lo - slack <= truth <= hi + slack
+
+
+def _fifth_point_near_tie(seed):
+    """Six random planar points and a seventh, b, that ties their fifth
+    witness point p5 within EPS_GEO: b is 5e-10 farther from p4 than p5,
+    turned 1e-3 rad about p4 to the side where it is lex-smaller than p5."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(6, 2))
+    w = witness_sequence(pts)
+    p4, p5 = pts[w.far3], pts[w.far4]
+    u = (p5 - p4) * (1.0 + 5e-10 / np.linalg.norm(p5 - p4))
+    for t in (1e-3, -1e-3):
+        b = p4 + np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]) @ u
+        if tuple(b) < tuple(p5):
+            break
+    return StochasticDataset(np.vstack([pts, b]), np.random.default_rng(seed).uniform(0.3, 0.9, 7))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5, 11, 16, 19])
+def test_witness_fifth_point_ties_by_class(seed):
+    # The fifth point is decided in the tie-class order of the other four
+    # contests, so the lex-larger p5 beats b; an exact-float order there put
+    # b after p5 and missed the realization walk by 8e-12 to 6.5e-11.
+    ds = _fifth_point_near_tie(seed)
+    assert expected_diameter_witness(ds) == pytest.approx(
+        witness_spread_by_realization(ds), rel=0, abs=1e-12)
+
+
+def test_witness_tie_class_values_pinned():
+    # Bit patterns of two sets whose rows of distances tie up to rounding,
+    # where an exact-float fifth-point order would move the last bits.
+    t = 2.0 * np.pi * np.arange(80) / 80
+    gon = StochasticDataset(np.column_stack([np.cos(t), np.sin(t)]),
+                            np.random.default_rng(80).uniform(0.1, 0.95, 80))
+    pairs = list(combinations(range(16), 2))
+    pick = sorted(np.random.default_rng(16).choice(len(pairs), size=32, replace=False))
+    hard = hardness_instance(16, [pairs[i] for i in pick]).dataset
+    assert [float.hex(expected_diameter_witness(ds)) for ds in (gon, hard)] == [
+        "0x1.ffec391448cf2p+0", "0x1.7040ea61043d1p+2"]
 
 
 def test_singleton_dataset_zero():
@@ -181,6 +220,7 @@ def test_two_approx_blocks_match_per_row_reference(rng, monkeypatch):
     cases = [
         random_dataset(rng, n, 2),
         grid_dataset(rng, n, 2, side=11),  # exact distance ties
+        grid_dataset(rng, n, 3, side=5),  # exact distance ties in space
         StochasticDataset(certain.points, probs),
     ]
     for ds in cases:
@@ -402,8 +442,8 @@ def test_witness_memory_does_not_grow_with_valid_fourth_points(rng):
 @pytest.mark.parametrize("n, mib", [(100, 8), (150, 4)])
 def test_witness_memory_is_quadratic(rng, n, mib):
     # Besides (n, n) tables, the prefix walk's first level among them, no
-    # work array holds more than about _CHUNK values: 2.0 MiB traced at
-    # n = 100 and 2.8 MiB at n = 150.
+    # work array holds more than about _CHUNK values: 1.8 MiB traced at
+    # n = 100 and 2.4 MiB at n = 150.
     ds = random_dataset(rng, n, 2)
     tracemalloc.start()
     try:

@@ -4,7 +4,6 @@ import pytest
 from schull import CapabilityError, GeometryError, hardness_instance
 from schull.geometry import (
     _least_extent,
-    _order_by_distance,
     _order_keys,
     distance_matrix,
     dists_to_flat,
@@ -30,20 +29,6 @@ def test_lex_ranks_match_pairwise_order(rng):
     for shape in ((2, 0), (0, 0)):
         with pytest.raises(GeometryError):
             lex_ranks(np.zeros(shape))
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_order_by_distance_matches_lexsort(rng, d):
-    # The stable distance sort over columns in ascending lex rank must give
-    # the row-wise (exact distance, lex) lexsort, exact distance ties
-    # included: the diameter's fifth-point products and the 2-approximation
-    # keep their bits only if it does.
-    for pts in (rng.integers(0, 3, size=(30, d)).astype(float), random_points(rng, 30, d)):
-        dist = distance_matrix(pts)
-        ranks = lex_ranks(pts)
-        by_rank = np.argsort(ranks)
-        rowwise = np.array([np.lexsort((ranks, row)) for row in dist])
-        assert np.array_equal(_order_by_distance(dist[:, by_rank], by_rank), rowwise)
 
 
 def _pairwise_after(dist, ranks):

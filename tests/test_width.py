@@ -26,7 +26,7 @@ from schull.dataset import rng_stream
 from schull.geometry import _CHUNK, _least_extent, lex_ranks
 from schull.width import _count_rows, _witness_runs
 
-from conftest import chain_dataset, grid_dataset, random_dataset, random_points
+from conftest import CHAIN_CASES, chain_dataset, grid_dataset, random_dataset, random_points
 from reference import (
     affine_rank,
     enumerate_realizations,
@@ -367,14 +367,14 @@ def test_fpras_sample_count():
     assert fpras_gamma(3) == pytest.approx(3 * 2500.0)
 
 
-@pytest.mark.parametrize("k", [3, 6, 10])
-def test_cells_partition_chain_sets(k):
+@pytest.mark.parametrize("k, gap", CHAIN_CASES)
+def test_cells_partition_chain_sets(k, gap):
     # A chain of near ties from the first vertex.  Its planar realizations
     # of at least three points are full-dimensional, and each has one cell,
     # so the cells' probabilities sum to P(|R| >= 3) up to rounding; the
-    # pairwise tie rule left 0.29 of 0.95 without a cell at k = 3.  The
-    # FPRAS sums every cell exactly here, so it equals the oracle.
-    ds = chain_dataset(k)
+    # pairwise tie rule left 0.29 of 0.95 without a cell at k = 3 and gap
+    # 0.6e-9.  The FPRAS sums every cell exactly here, so it equals the oracle.
+    ds = chain_dataset(k, gap)
     probs = np.concatenate([p for *_, p, _ in _witness_runs(ds, lex_ranks(ds.points),
                                                                np.arange(len(ds)))])
     tail = _size_probs(ds.probs, 2)[-1]
