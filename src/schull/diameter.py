@@ -21,12 +21,20 @@ from .dataset import StochasticDataset, _exclusive_suffix_product, _ordered_sum
 from .dataset import decode_text, oracle_expectation
 from .errors import CapabilityError, DatasetError, GeometryError
 from .geometry import _CHUNK, _box_diagonal, _negligible, _order_keys
-from .geometry import _steps, _walk, distance_matrix, lex_ranks
+from .geometry import _walk, distance_matrix, lex_ranks
 
 # Upper/lower bracket factor of the witness spread versus the true diameter.
 DIAMETER_WITNESS_FACTOR = 2.0 * math.sqrt(2.0) / math.sqrt(3.0)
 
 TWO_APPROX_FACTOR = 2.0
+
+
+def _steps(prefix, keys, cand):
+    """The (B, n) mask of the construction steps v of ``cand`` that exclude
+    no vertex of prefix b (B, k): taking v excludes the points of larger key
+    in row b of ``keys``, the rows' ``_order_keys``."""
+    top = keys[np.arange(len(prefix))[:, None], prefix].max(axis=1)
+    return cand & (keys >= top[:, None])
 
 
 def expected_diameter_witness(ds: StochasticDataset) -> float:
@@ -40,18 +48,17 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     them gets 0.  Runs in O(n^5) time.
 
     The (p1, p2, p3) prefixes come from ``geometry._walk``, with its mass
-    cut: p2 a step in the order from p1, p3 in the order from p2, both the
-    tie-class order of ``_order_keys``.  Each of its batches of ``_CHUNK //
-    n`` triples takes p4 by ``_steps`` in the key order from the probe; a
-    valid (prefix, p4) pair excludes the points of larger key.  Only those
-    pairs get rows, ``_CHUNK // n`` at a time: exclusion mask, absence
-    factors and fifth-point probabilities in key order, suffix product,
-    spreads and row sum.  So besides (n, n) tables no work array holds
-    more than about ``_CHUNK`` values (a tracemalloc peak of 1.8 MiB at
-    n = 100 and 2.4 MiB at n = 150 on random planar sets).  The prefixes'
-    terms, the rows of a ``np.vecdot`` over full-length rows, go to
-    ``_ordered_sum`` in prefix order, so batch sizes do not change the
-    result.
+    cut.  Its levels take steps by ``_steps`` in the tie-class order of
+    ``_order_keys``: p2 from p1, p3 from p2 and, for each batch of
+    ``_CHUNK // n`` triples, p4 from the probe; a valid (prefix, p4) pair
+    excludes the points of larger key.  Only those pairs get rows,
+    ``_CHUNK // n`` at a time: exclusion mask, absence factors and
+    fifth-point probabilities in key order, suffix product, spreads and row
+    sum.  So besides (n, n) tables no work array holds more than about
+    ``_CHUNK`` values (a tracemalloc peak of 1.8 MiB at n = 100 and 2.4 MiB
+    at n = 150 on random planar sets).  The prefixes' terms, the rows of a
+    ``np.vecdot`` over full-length rows, go to ``_ordered_sum`` in prefix
+    order, so batch sizes do not change the result.
 
     The sum over all witness sequences of prob * spread equals the expected
     spread of a random realization, which brackets the expected diameter
@@ -68,19 +75,22 @@ def expected_diameter_witness(ds: StochasticDataset) -> float:
     ar = np.arange(n)
     step = max(1, _CHUNK // n)
 
-    def from_last(prefix):
-        return np.ones(len(prefix), dtype=bool), dkeys[prefix[:, -1]]
+    def from_last(prefix, excls):
+        keys, cand = dkeys[prefix[:, -1]], ~excls
+        cand[np.arange(len(prefix)), prefix[:, -1]] = False  # p3 may return to p1
+        return keys, _steps(prefix, keys, cand)
 
-    def from_probe(prefix):
+    def from_probe(prefix, excls):
         p1, p2, p3 = prefix.T
         probe = pts[p2] + (pts[p1] - pts[p2]) * (0.5 * dmat[p2, p3] / dmat[p1, p2])[:, None]
-        return np.ones(len(prefix), dtype=bool), _order_keys(distance_matrix(probe, pts), ranks)
+        keys = _order_keys(distance_matrix(probe, pts), ranks)
+        return keys, _steps(prefix, keys, ~excls)
 
     total = 0.0
     levels = (from_last, from_last, from_probe)
-    for prefix, e3, lead, _, keys in _walk(pts, pi, ranks, ar[:, None], levels, lambda: total):
+    for prefix, e3, lead, _, keys, p4 in _walk(pts, pi, ranks, ar[:, None], levels, lambda: total):
         # a prefix with no valid p4 adds an exact 0.0 below
-        pair_ci, pair_a = _steps(prefix, keys, ~e3)
+        pair_ci, pair_a = np.nonzero(p4)
         weights = np.zeros((len(prefix), n))
         rows = np.zeros((len(prefix), n))
         for u in range(0, len(pair_a), step):

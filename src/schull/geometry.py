@@ -3,13 +3,13 @@
 Everything downstream (estimators, enumeration oracles, the sweep) is built
 on the helpers in this module: the (distance, lex) order ``_order_keys``,
 distance tables, distance-to-flat computations, the width kernel, the
-width's ``_runs`` and, for both witness sums, ``_walk``, ``_steps`` and
-``_negligible``.  The order cuts each row's sorted distances into tie
-classes at every gap above one absolute tolerance ``EPS_GEO``, the lex-larger
-point last within a class; it is the one order of every contest of both
-witness sums (the 2-approximation sorts by exact distance inline, with no
-tolerance).  Degeneracy is decided with the same tolerance, for
-desk-scale inputs (coordinates up to ~1e3).  The width kernel,
+width's ``_runs`` and, for both witness sums, ``_walk`` and ``_negligible``.
+The order cuts each row's sorted distances into tie classes at every gap
+above one absolute tolerance ``EPS_GEO``, the lex-larger point last within
+a class; it is the one order of every contest of both witness sums (the
+2-approximation sorts by exact distance inline, with no tolerance), and a
+width step off its flat's tie class keeps every flat affinely independent.
+It serves desk-scale inputs (coordinates up to ~1e3); the width kernel,
 ``_least_extent``, needs no tolerance at any scale.
 """
 
@@ -83,23 +83,21 @@ def distance_matrix(pts: np.ndarray, other: np.ndarray | None = None) -> np.ndar
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def dists_to_flat(points, spans) -> tuple[np.ndarray, np.ndarray]:
+def dists_to_flat(points, spans) -> np.ndarray:
     """Euclidean distances from each point to each of a batch of affine flats.
 
-    ``spans`` has shape (B, k, d): flat b passes through its k points.
-    Returns ``(ok, dist)`` with dist of shape (B, m).  ok[b] is False when
-    the k points are affinely dependent (a pivot of the QR factorization of
-    their differences is at most EPS_GEO); such rows hold no meaningful
-    distance.  One QR call covers the batch.
+    ``spans`` has shape (B, k, d): flat b passes through its k points, which
+    must be affinely independent (every construction step adds a point off
+    the flat so far).  Returns the (B, m) distances; one QR call covers the
+    batch.
     """
-    pts = as_points(points)
+    pts = np.asarray(points, dtype=np.float64)
     spans = np.asarray(spans, dtype=np.float64)
     base = spans[:, :1]
-    q, r = np.linalg.qr(np.swapaxes(spans[:, 1:] - base, 1, 2))  # (B, d, k-1)
-    ok = (np.abs(np.diagonal(r, axis1=1, axis2=2)) > EPS_GEO).all(axis=1)
+    q, _ = np.linalg.qr(np.swapaxes(spans[:, 1:] - base, 1, 2))  # (B, d, k-1)
     w = pts - base
     w -= (w @ q) @ np.swapaxes(q, 1, 2)
-    return ok, np.linalg.norm(w, axis=2)
+    return np.linalg.norm(w, axis=2)
 
 
 # Working-memory budget of every batched loop: values per work array.
@@ -117,14 +115,6 @@ def _runs(costs):
             start, held = i, 0
         held += cost
     yield slice(start, len(costs))
-
-
-def _steps(prefix, keys, cand):
-    """The construction steps (b, v) of ``cand`` (B, n), in row-major order,
-    that exclude no vertex of prefix b (B, k): taking v excludes the points
-    of larger key in row b of ``keys``, the rows' ``_order_keys``."""
-    top = keys[np.arange(len(prefix))[:, None], prefix].max(axis=1)
-    return np.nonzero(cand & (keys >= top[:, None]))
 
 
 def _box_diagonal(pts: np.ndarray) -> float:
@@ -153,19 +143,18 @@ def _negligible(bound, total: float):
 def _walk(pts, pi, ranks, root, levels, total):
     """Construction prefixes grown from the one-point prefixes ``root`` (B, 1)
     one level at a time, depth first; yields the last level's ``(prefix,
-    excls, lead, mass, keys)`` batches in lexicographic order.
+    excls, lead, mass, keys, steps)`` batches in lexicographic order.
 
     A first point excludes the lex-larger points; a prefix's mass is its
     lead (its distinct vertices present) times its excluded points absent.
     A level drops the prefixes whose mass times the box diagonal is
-    ``_negligible`` against ``total()``, the running total, then those that
-    ``levels[k](prefix) -> (ok, keys)`` finds not ok; ``keys`` are the
-    ``_order_keys`` of the prefixes' reference rows.  A step excludes the
-    points of larger key, and the steps are the points neither excluded
-    nor the last vertex that ``_steps`` keeps: the diameter's p3 may return
-    to p1, and in space the width may step back to v0, which the next flat
-    drops on an exact zero pivot.  Roots and children go ``_CHUNK // n`` at
-    a time, each grown to the last level in turn.
+    ``_negligible`` against ``total()``, the running total, then asks
+    ``levels[k](prefix, excls) -> (keys, steps)`` for the ``_order_keys``
+    of the prefixes' reference rows and the (B, n) mask of the points each
+    may take next: each level owns its construction's step rule.  A step v
+    excludes the points of larger key than v's; the last level's steps are
+    the leaf's cells.  Roots and children go ``_CHUNK // n`` at a time,
+    each grown to the last level in turn.
     """
     omp = 1.0 - pi
     reach = _box_diagonal(pts)
@@ -176,15 +165,12 @@ def _walk(pts, pi, ranks, root, levels, total):
         keep = ~_negligible(mass * reach, total())
         if not keep.any():
             return
-        ok, keys = levels[level](prefix[keep])
-        keep[keep] = ok
-        prefix, excls, lead, mass, keys = prefix[keep], excls[keep], lead[keep], mass[keep], keys[ok]
+        prefix, excls, lead, mass = prefix[keep], excls[keep], lead[keep], mass[keep]
+        keys, steps = levels[level](prefix, excls)
         if level + 1 == len(levels):
-            yield prefix, excls, lead, mass, keys
+            yield prefix, excls, lead, mass, keys, steps
             return
-        cand = ~excls
-        cand[np.arange(len(prefix)), prefix[:, -1]] = False
-        b, v = _steps(prefix, keys, cand)
+        b, v = np.nonzero(steps)
         for s in range(0, len(b), step):
             b_s, v_s = b[s:s + step], v[s:s + step]
             again = (prefix[b_s] == v_s[:, None]).any(axis=1)

@@ -7,11 +7,11 @@ spanned so far (ties lex-largest), d+1 vertices in total.  The simplex's own
 width lower-bounds the realization's width and is within a factor of
 2 * 5^(d-1) of it, so summing prob * simplex width over all witness
 simplices brackets the expectation.  The simplices are found the way the
-construction builds them: each prefix grows one vertex at a time and stops
-at its first degenerate flat or at the first step that beats a prefix
-vertex.  For an (eps)-accurate estimate the sampling estimator replaces
-each simplex's width by the expected realization width conditioned on that
-simplex being the witness: summed exactly when the cell has at most as many
+construction builds them: each prefix grows by one new vertex at a time,
+off the tie class of the flat so far, and stops at a flat with none.  For
+an (eps)-accurate estimate the sampling estimator replaces each simplex's
+width by the expected realization width conditioned on that simplex being
+the witness: summed exactly when the cell has at most as many
 sub-realizations as samples, a Monte Carlo average otherwise.
 
 Both estimators read the cells from one stream, ``_witness_runs``, a run of
@@ -70,28 +70,32 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, first, total=lambda:
     run boundaries differ.  Runs without a cell are skipped.
 
     The prefixes of d vertices come from ``geometry._walk``, with one
-    ``dists_to_flat`` call per level batch, which drops degenerate flats,
-    and the mass cut against ``total()``, read at every level.  The prefix
-    mass serves every last vertex; each adds the points of larger key in
-    the ``_order_keys`` of the distances to the prefix flat.  The last
-    vertices lie outside the tie class of the flat's own points (key n or
-    more), so each beats no step and recovers to the prefix plus itself.
-    Runs are cut at ``_CHUNK`` (cell, point) values; a prefix whose cells
-    hold more than that forms a run of its own.
+    ``dists_to_flat`` call per level batch and the mass cut against
+    ``total()``, read at every level.  A step, the last vertex included, is
+    a new vertex off the tie class of the flat's own points (key n or more
+    in the ``_order_keys`` of the distances to the flat), so every flat is
+    affinely independent.  The prefix mass serves every last vertex; each
+    adds the points of larger key, beats no step and recovers to the prefix
+    plus itself.  Runs are cut at ``_CHUNK`` values, a cell holding n
+    exclusions or (d + 1) projections on each width-kernel direction; a
+    prefix whose cells hold more than that forms a run of its own.
     """
     pts, pi = ds.points, ds.probs
     omp = 1.0 - pi
 
-    def level(prefix):
-        ok, dists = dists_to_flat(pts, pts[prefix])
-        return ok, _order_keys(dists, ranks)
+    def level(prefix, excls):
+        keys = _order_keys(dists_to_flat(pts, pts[prefix]), ranks)
+        steps = ~excls & (keys >= len(pi))  # off the tie class of the flat's own points
+        steps[np.arange(len(prefix))[:, None], prefix] = False
+        return keys, steps
 
     levels = [level] * ds.dim
     root = np.reshape(first, (-1, 1))
-    for prefix, excls, _, mass, keys in _walk(pts, pi, ranks, root, levels, total):
-        last = ~excls & (keys >= len(pi))  # off the tie class of the flat's own points
+    # a cell's values: n exclusions, or (d + 1) projections on each kernel direction
+    held = max(len(pi), (ds.dim + 1) * (3 if ds.dim == 2 else 15))
+    for prefix, excls, _, mass, keys, last in _walk(pts, pi, ranks, root, levels, total):
         sizes = last.sum(axis=1)
-        for rows in _runs(sizes * len(pi)):
+        for rows in _runs(sizes * held):
             b, c = np.nonzero(last[rows])
             if not c.size:
                 continue

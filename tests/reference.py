@@ -178,15 +178,11 @@ def _build_hull3d(pts: np.ndarray) -> _Hull3D:
     d0 = np.linalg.norm(pts - pts[i0], axis=1)
     i1 = int(np.argmax(d0))
 
-    def dists_to(span):
-        ok, dist = dists_to_flat(pts, pts[span][None])
-        if not ok[0]:
-            raise GeometryError("hull3d: affinely dependent seed points")
-        return dist[0]
-
-    d1 = dists_to([i0, i1])
+    d1 = dists_to_flat(pts, pts[[i0, i1]][None])[0]
     i2 = int(np.argmax(d1))
-    d2 = dists_to([i0, i1, i2])
+    if d1[i2] <= EPS_GEO:
+        raise GeometryError("hull3d: affinely dependent seed points")
+    d2 = dists_to_flat(pts, pts[[i0, i1, i2]][None])[0]
     i3 = int(np.argmax(d2))
     if d2[i3] <= EPS_GEO:
         raise GeometryError("hull3d: input not full-dimensional")
@@ -498,7 +494,8 @@ def _greedy_vertex_list(pts, cand, ranks) -> list[int] | None:
 
     First the lex-largest candidate, then d times the candidate farthest
     from the flat of the points chosen so far, distance ties (within
-    EPS_GEO) resolved lex-largest.
+    EPS_GEO) resolved lex-largest.  A chosen point within EPS_GEO of the
+    flat makes the candidates degenerate.
     """
     d = pts.shape[1]
     if len(cand) < d + 1:
@@ -506,10 +503,11 @@ def _greedy_vertex_list(pts, cand, ranks) -> list[int] | None:
     first = cand[int(np.argmax(ranks[cand]))]
     chosen = [int(first)]
     for _ in range(d):
-        ok, (dist,) = dists_to_flat(pts[cand], pts[chosen][None])
-        if not ok[0] or dist.max() <= EPS_GEO:
+        (dist,) = dists_to_flat(pts[cand], pts[chosen][None])
+        last = last_in_order(dist, ranks[cand])
+        if dist[last] <= EPS_GEO:
             return None
-        chosen.append(int(cand[last_in_order(dist, ranks[cand])]))
+        chosen.append(int(cand[last]))
     return chosen
 
 
@@ -580,7 +578,7 @@ def witness_simplex_prob(ds, simplex) -> float:
     ranks = lex_ranks(pts)
     excl = ranks > ranks[rec[0]]
     for i in range(1, d + 1):
-        _, (dist,) = dists_to_flat(pts, pts[list(rec[:i])][None])  # rec's flats are ok
+        (dist,) = dists_to_flat(pts, pts[list(rec[:i])][None])  # rec's flats are independent
         excl |= after_in_order(dist, dist[rec[i]], ranks, ranks[rec[i]])
     if excl[list(rec)].any():
         return 0.0

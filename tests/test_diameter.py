@@ -324,8 +324,8 @@ def test_steps_match_brute_force(rng):
                 want = [(b, v) for b in range(12) for v in range(n) if cand[b, v]
                         and not any(after_in_order(ref[b, p], ref[b, v], ranks[p], ranks[v])
                                     for p in prefix[b])]
-                got = schull.geometry._steps(prefix, _order_keys(ref, ranks), cand)
-                assert list(zip(*(x.tolist() for x in got))) == want
+                got = schull.diameter._steps(prefix, _order_keys(ref, ranks), cand)
+                assert list(zip(*(x.tolist() for x in np.nonzero(got)))) == want
         # (b) p2 and then p3, chained through the prefix walk as the
         # diameter witness chains them, with nothing cut, give the valid
         # (p1, p2, p3) prefixes in lexicographic order
@@ -337,8 +337,10 @@ def test_steps_match_brute_force(rng):
             if p2 != p1 and not e3[[p1, p2, p3]].any():
                 want.append((p1, p2, p3))
 
-        def from_last(prefix):
-            return np.ones(len(prefix), dtype=bool), _order_keys(dmat[prefix[:, -1]], ranks)
+        def from_last(prefix, excls):
+            keys, cand = _order_keys(dmat[prefix[:, -1]], ranks), ~excls
+            cand[np.arange(len(prefix)), prefix[:, -1]] = False
+            return keys, schull.diameter._steps(prefix, keys, cand)
 
         walk = schull.geometry._walk(pts, np.full(n, 0.5), ranks, np.arange(n)[:, None],
                                      [from_last] * 3, lambda: 0.0)

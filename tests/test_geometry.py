@@ -48,7 +48,7 @@ def test_order_keys_strict_on_chain_rows():
     # in space: the same chain about the line through two lex-larger points
     spatial = np.vstack([[[21.0, 0.0, 0.0], [20.0, 0.0, 0.0]], np.column_stack(
         [10.0 - np.arange(k), r * np.cos(a), r * np.sin(a)])])
-    _, flat_rows = dists_to_flat(spatial, spatial[None, :2])
+    flat_rows = dists_to_flat(spatial, spatial[None, :2])
     for pts, dist, chain in ((planar, distance_matrix(planar[:1], planar), np.arange(1, k + 1)),
                              (spatial, flat_rows, np.arange(2, k + 2))):
         ranks = lex_ranks(pts)
@@ -72,7 +72,7 @@ def test_order_keys_match_pairwise_rule_without_chains(rng, d):
     for pts in pts_sets:
         ranks = lex_ranks(pts)
         spans = pts[rng.integers(0, len(pts), size=(12, min(d, pts.shape[1])))]
-        for dist in (distance_matrix(pts), dists_to_flat(pts, spans)[1]):
+        for dist in (distance_matrix(pts), dists_to_flat(pts, spans)):
             keys = _order_keys(dist, ranks)
             assert np.array_equal(keys[:, :, None] > keys[:, None, :], _pairwise_after(dist, ranks))
 
@@ -88,20 +88,13 @@ def test_order_keys_refuse_rows_past_int32():
 
 
 def test_flat_distances():
-    ok, dist = dists_to_flat([[0.5, 3.0]], [[[0.0, 0.0], [1.0, 0.0]]])
-    assert ok.tolist() == [True] and dist[0] == pytest.approx([3.0])
-    ok, dist = dists_to_flat([[9.0, -4.0, 2.5]], [[[0, 0, 0], [1, 0, 0], [0, 1, 0]]])
-    assert ok.tolist() == [True] and dist[0] == pytest.approx([2.5])
+    dist = dists_to_flat([[0.5, 3.0]], [[[0.0, 0.0], [1.0, 0.0]]])
+    assert dist[0] == pytest.approx([3.0])
+    dist = dists_to_flat([[9.0, -4.0, 2.5]], [[[0, 0, 0], [1, 0, 0], [0, 1, 0]]])
+    assert dist[0] == pytest.approx([2.5])
     # a single spanning point is a 0-dimensional flat; flats batch along axis 0
-    ok, dist = dists_to_flat([[4.0, 5.0], [1.0, 1.0]], [[[1.0, 1.0]], [[4.0, 5.0]]])
-    assert ok.tolist() == [True, True]
+    dist = dists_to_flat([[4.0, 5.0], [1.0, 1.0]], [[[1.0, 1.0]], [[4.0, 5.0]]])
     assert dist[0] == pytest.approx([5.0, 0.0]) and dist[1] == pytest.approx([0.0, 5.0])
-
-
-def test_dists_to_flat_flags_dependent_spans():
-    spans = [[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]
-    ok, _ = dists_to_flat([[0.0, 0.0]], spans)
-    assert ok.tolist() == [False, True]
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -97,6 +97,25 @@ def test_decomposition_mass_is_full_rank_probability(rng):
         assert mass == pytest.approx(expect, abs=1e-11)
 
 
+@pytest.mark.parametrize("n, d", [(7, 2), (12, 2), (6, 3), (9, 3)])
+def test_cell_mass_is_full_rank_probability_at_scale(rng, n, d):
+    # The cells partition the realizations of more than d points at every
+    # scale: each has d + 1 distinct vertices and their probabilities sum
+    # to P(|R| > d), within 4 ulp a cell.  Steps that may repeat a vertex
+    # or stay in their flat's tie class once gave cells of impossible
+    # simplices from 10^6 up.  The absolute cut of reference.affine_rank
+    # is no reference at these scales.
+    ds = random_dataset(rng, n, d)
+    want = _size_probs(ds.probs, d)[-1]
+    for k in range(0, 13, 2):
+        scaled = StochasticDataset(ds.points * 10.0**k, ds.probs)
+        runs = list(_witness_runs(scaled, lex_ranks(scaled.points), np.arange(n)))
+        verts = np.concatenate([v for _, v, _, _ in runs])
+        mass = math.fsum(np.concatenate([p for _, _, p, _ in runs]).tolist())
+        assert all(len(set(cell)) == d + 1 for cell in verts.tolist()), k
+        assert abs(mass - want) <= 4 * len(verts) * math.ulp(want), k
+
+
 def test_decomposition_partition_consistency(rng):
     cases = [random_dataset(rng, 6, 2), grid_dataset(rng, 7, 2), grid_dataset(rng, 6, 3)]
     for ds in cases:
