@@ -6,9 +6,10 @@ spanned by dataset points a face of the hull), and the expected face
 counts, exact for d = 2 and 3.  The counts need only the facet term,
 summed by one sweep over the hyperplanes through each (d-1)-subset of
 points; Euler's formula fixes the other face counts from it.  The sweep
-and the face probabilities work in one 2-d orthogonal complement of d-1
-points, ``_complement``.  Every layer takes its products of absence
-probabilities from one zero-safe half-plane kernel, ``_half_plane_empty``.
+and both face kinds read one ``_group`` per (d-1)-subset: a call of the
+zero-safe half-plane kernel ``_half_plane_empty`` in the subset's 2-d
+orthogonal complement, ``_complement``.  2-d membership takes the same
+kernel around the query point; 1-d membership is the line case.
 
 Everything here assumes general position: distinct points, no d+1 of them
 on a common hyperplane, no query point coincident or collinear with data
@@ -104,51 +105,39 @@ def _half_plane_empty(vec, omp, ids, fixed=()) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _cover_1d(delta, pi, ids, fixed=()) -> float:
-    """Probability that 0 lies strictly inside the present offsets ``delta``.
+def _outside(pi, omp, right) -> float:
+    """Probability that a realization leaves the centre outside its hull.
 
-    0 is covered iff some present point sits on each side, so the
-    complement is 'left side empty or right side empty'.
+    It does exactly when it is empty or has a unique extreme witness: a
+    present point a with no present point strictly to the right of the ray
+    from the centre through a (``right``, from ``_half_plane_empty``).
     """
-    near = int(np.argmin(np.abs(delta)))
-    if abs(delta[near]) <= EPS_GEO:
-        raise _on_centre(fixed, int(ids[near]))
-    omp = 1.0 - pi
-    p_hi = float(np.prod(omp[delta > 0.0]))
-    p_lo = float(np.prod(omp[delta < 0.0]))
-    return 1.0 - (p_hi + p_lo - p_hi * p_lo)
-
-
-def _cover_2d(vec, pi, ids, fixed=()) -> float:
-    """Probability that the origin lies in the hull of the present ``vec``.
-
-    A realization omits the origin exactly when it is empty or has a unique
-    extreme witness: a present point a with no present point strictly to
-    the right of the ray from the origin through a.
-    """
-    omp = 1.0 - pi
-    _, right = _half_plane_empty(vec, omp, ids, fixed)
-    outside = float(np.dot(pi, right)) + float(np.prod(omp))
-    return min(1.0, max(0.0, 1.0 - outside))
+    return float(np.dot(pi, right)) + float(np.prod(omp))
 
 
 def membership_prob_1d(ds: StochasticDataset, q) -> float:
-    """Probability that q lies in the hull (interval) of a 1-d realization."""
+    """Probability that q lies in the hull (interval) of a 1-d realization:
+    that neither side of q is empty of present points."""
     if ds.dim != 1:
         raise CapabilityError("membership_prob_1d needs a 1-d dataset")
     qv = as_point(q)
     if qv.shape != (1,):
         raise DatasetError("query point must be 1-d")
-    return _cover_1d(ds.points[:, 0] - qv[0], ds.probs, range(len(ds)))
+    delta = ds.points[:, 0] - qv[0]
+    near = int(np.argmin(np.abs(delta)))
+    if abs(delta[near]) <= EPS_GEO:
+        raise _on_centre((), near)
+    omp = 1.0 - ds.probs
+    p_hi = float(np.prod(omp[delta > 0.0]))
+    p_lo = float(np.prod(omp[delta < 0.0]))
+    return 1.0 - (p_hi + p_lo - p_hi * p_lo)
 
 
 def membership_prob_2d(ds: StochasticDataset, q) -> float:
     """Probability that q lies in the hull of a planar realization.
 
-    A realization omits q exactly when it is empty or has a unique extreme
-    witness: a present point a with no present point strictly to the right
-    of the ray from q through a.  Summing the witness probabilities needs
-    one angular sort plus prefix products, O(n log n).
+    One half-plane kernel call gives each point's extreme-witness term of
+    ``_outside``: one angular sort plus prefix products, O(n log n).
 
     Raises GeometryError, naming the dataset points, when q coincides with
     a point or is collinear with two points (equal or opposite directions),
@@ -159,39 +148,55 @@ def membership_prob_2d(ds: StochasticDataset, q) -> float:
     qv = as_point(q)
     if qv.shape != (2,):
         raise DatasetError("query point must be 2-d")
-    return _cover_2d(ds.points - qv, ds.probs, range(len(ds)))
+    omp = 1.0 - ds.probs
+    _, right = _half_plane_empty(ds.points - qv, omp, range(len(ds)))
+    return min(1.0, max(0.0, 1.0 - _outside(ds.probs, omp, right)))
 
 
 def _complement(pts: np.ndarray, fixed: tuple[int, ...], idx) -> np.ndarray:
     """2-d coordinates of the points ``idx``, relative to ``fixed[0]``, in the
     orthogonal complement of the span of the d-1 points ``fixed``.
 
-    The frame is the identity at d = 2.  At d = 3 a right-handed frame
+    At d = 2 this is the translation.  At d = 3 a right-handed frame
     (f0, f1, axis = p_f1 - p_f0) puts the kernel's left side of b on the
     positive side of axis x (p_b - p_f0); a coincident pair raises
     GeometryError.
     """
     base = pts[fixed[0]]
     if pts.shape[1] == 2:
-        frame = np.eye(2)
-    else:
-        axis = pts[fixed[1]] - base
-        nrm = np.linalg.norm(axis)
-        if nrm <= EPS_GEO:
-            raise GeometryError(f"dataset points {list(fixed)} coincide")
-        f0 = np.linalg.svd((axis / nrm).reshape(1, 3))[2][1]
-        frame = np.stack([f0, np.cross(axis / nrm, f0)])
-    return (pts[idx] - base) @ frame.T
+        return pts[idx] - base
+    axis = pts[fixed[1]] - base
+    nrm = np.linalg.norm(axis)
+    if nrm <= EPS_GEO:
+        raise GeometryError(f"dataset points {list(fixed)} coincide")
+    f0 = np.linalg.svd((axis / nrm).reshape(1, 3))[2][1]
+    return (pts[idx] - base) @ np.stack([f0, np.cross(axis / nrm, f0)]).T
+
+
+def _group(pts, omp, fixed, ar) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hyperplanes through the d-1 points ``fixed`` and one other point b:
+    the lines through the origin of the 2-d ``_complement`` of ``fixed``,
+    both sides of each from one half-plane kernel call.  Returns (others,
+    left, right): the other indices of ``ar`` (the dataset's ``np.arange``)
+    and the probabilities that no point is present strictly on the
+    positive/negative side of the normal rot90(p_b - p_f0) (d = 2) or
+    (p_f1 - p_f0) x (p_b - p_f0) (d = 3)."""
+    others = np.delete(ar, fixed)
+    if not len(others):
+        return others, np.empty(0), np.empty(0)
+    left, right = _half_plane_empty(
+        _complement(pts, fixed, others), omp[others], others, fixed)
+    return others, left, right
 
 
 def face_prob(ds: StochasticDataset, face) -> float:
     """Probability that a simplex on dataset points is a face of the hull.
 
     Supported face dimensions are d-1 (facets) and d-2, for d = 2 and 3: the
-    simplex is a face iff its vertices are present and, in the sweep's 2-d
-    complement of its first d-1 vertices, the other present points leave the
-    origin (a (d-2)-face) outside their hull, or (a facet) on one side of
-    the line through the origin and the last vertex.
+    simplex is a face iff its vertices are present and, in the sweep's
+    ``_group`` of its first d-1 vertices, the other present points leave
+    the origin outside their hull (a (d-2)-face), or leave one open side of
+    the hyperplane through the last vertex empty (a facet).
     """
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in face):
         raise DatasetError("face vertices must be integer indices")
@@ -209,36 +214,22 @@ def face_prob(ds: StochasticDataset, face) -> float:
         raise CapabilityError(
             "face_prob supports faces of dimension d-1 and d-2 only"
         )
-    rest = [i for i in range(n) if i not in verts]
     pi = ds.probs
-    fixed = verts[:d - 1]
-    if not rest:
-        mem = 0.0
-    elif k == d - 2:
-        mem = _cover_2d(_complement(ds.points, fixed, rest), pi[rest], rest, verts)
-    else:
-        w = _complement(ds.points, fixed, [*rest, verts[-1]])
-        w_b, w_x = w[-1], w[:-1]
-        nrm = np.linalg.norm(w_b)
-        if nrm <= EPS_GEO:
-            raise _on_centre(fixed, verts[-1])
-        delta = (w_b[0] * w_x[:, 1] - w_b[1] * w_x[:, 0]) / nrm
-        mem = _cover_1d(delta, pi[rest], rest, verts)
-    return float(np.prod(pi[list(verts)])) * (1.0 - mem)
+    omp = 1.0 - pi
+    others, left, right = _group(ds.points, omp, verts[:d - 1], np.arange(n))
+    present = float(np.prod(pi[list(verts)]))
+    if k == d - 2:
+        return present * min(1.0, _outside(pi[others], omp[others], right))
+    b = int(np.searchsorted(others, verts[-1]))
+    return present * float(left[b] + right[b] - left[b] * right[b])
 
 
 def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
-    """The hyperplanes through d dataset points, one group per (d-1)-subset.
-
-    For each (d-1)-subset ``fixed`` the hyperplanes through it are the lines
-    through the origin of its 2-d ``_complement``, one per other point,
-    and one half-plane kernel call gives both sides of each.  Yields
-    (fixed, new, left, right): ``new`` holds the partners b > max(fixed),
-    so each hyperplane fixed + (b,) comes once, in the group of its d-1
-    smallest indices; ``left``/``right`` are the probabilities that no
-    point is present strictly on the positive/negative side of the normal
-    rot90(p_b - p_f0) (d = 2) or (p_f1 - p_f0) x (p_b - p_f0) (d = 3).
-    C(n, d) hyperplanes in O(n^(d-1) * n log n) total.
+    """The hyperplanes through d dataset points, one ``_group`` per
+    (d-1)-subset ``fixed``.  Yields (fixed, new, left, right) with the
+    partners ``new`` = b > max(fixed), so each hyperplane fixed + (b,) comes
+    once, in the group of its d-1 smallest indices.  C(n, d) hyperplanes
+    in O(n^(d-1) * n log n) total.
 
     Degenerate inputs (d+1 points on a hyperplane, d collinear/coincident
     points) raise GeometryError naming the points.
@@ -251,11 +242,7 @@ def _sweep_groups(ds: StochasticDataset) -> Iterator[tuple]:
     omp = 1.0 - ds.probs
     ar = np.arange(n)
     for fixed in combinations(range(n), d - 1):
-        others = np.delete(ar, fixed)
-        if not len(others):
-            continue
-        w = _complement(pts, fixed, others)
-        left, right = _half_plane_empty(w, omp[others], others, fixed)
+        others, left, right = _group(pts, omp, fixed, ar)
         new = others > fixed[-1]
         yield fixed, others[new], left[new], right[new]
 

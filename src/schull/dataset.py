@@ -9,14 +9,14 @@ The oracle sums over all 2^n realizations (bit i of a mask = point i).
 Every statistic is computed for every mask as arrays from the coordinates
 alone, in blocks of ``geometry._CHUNK`` masks (one setting of the high
 bits each) whose work arrays hold at most that many values: a subset
-recursion for the diameter, the least extent over the candidate
-directions of the one width kernel (``geometry._least_extent``) for the
-width (d = 2, 3), and for the face census (d = 2, 3) bit-mask tests of
-supporting pairs and triples whose sides are exact signs on the
-coordinates, with no tolerance.  The 3-d census counts vertices, edges
-and facets each on its own, with no Euler identity, so it stays an
-independent check of the estimators.  The complexity is the sum of the
-face census.
+recursion for the diameter; for the width (d = 2, 3) the least extent
+over ``geometry._candidate_directions``, every subset's extents taken
+from ``_subset_widths``' doubling table; and for the face census (d = 2,
+3) bit-mask tests of supporting pairs and triples whose sides are exact
+signs on the coordinates, with no tolerance.  The 3-d census counts
+vertices, edges and facets each on its own, with no Euler identity, so
+it stays an independent check of the estimators.  The complexity is the
+sum of the face census.
 """
 
 from __future__ import annotations

@@ -205,11 +205,9 @@ def double_simplex(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     verts = regular_simplex(k)
     facet, apex = verts[:k], verts[k]
-    # reflect the apex through the facet's flat (a point when k = 1)
-    q, _ = np.linalg.qr((facet[1:] - facet[0]).T)
-    w = apex - facet[0]
-    mirror = facet[0] + 2.0 * (q @ (q.T @ w)) - w
-    return facet, apex, mirror
+    # the Cholesky factor is lower triangular, so the facet spans the first
+    # k - 1 axes and the mirror is the apex with its last coordinate negated
+    return facet, apex, np.append(apex[:-1], -apex[-1])
 
 
 def _validated_edges(n_vertices: int, edges) -> tuple[tuple[int, int], ...]:

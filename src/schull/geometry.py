@@ -28,18 +28,6 @@ EPS_GEO = 1e-9
 HULL_DIMS = (2, 3)
 
 
-def as_points(points) -> np.ndarray:
-    """Coerce to a (m, d) float64 array and reject non-finite coordinates."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.ndim != 2:
-        raise GeometryError(f"expected a 2-d point array, got shape {pts.shape}")
-    if pts.size and not np.isfinite(pts).all():
-        raise GeometryError("non-finite coordinate in point array")
-    return pts
-
-
 def as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=np.float64).reshape(-1)
     if q.size and not np.isfinite(q).all():
@@ -48,8 +36,9 @@ def as_point(p) -> np.ndarray:
 
 
 def lex_ranks(points) -> np.ndarray:
-    """Rank of each point in lexicographic order (0 = smallest)."""
-    pts = as_points(points)
+    """Rank of each point of an (m, d) array in lexicographic order
+    (0 = smallest)."""
+    pts = np.asarray(points, dtype=np.float64)
     m, d = pts.shape
     if d == 0:
         raise GeometryError("lex_ranks needs points with at least one coordinate")
@@ -203,6 +192,12 @@ def _candidate_directions(pts: np.ndarray) -> Iterator[np.ndarray]:
              else np.cross(e, diff[..., b[s:s + step], :]))
         norm = np.linalg.norm(u, axis=-1, keepdims=True)
         yield np.divide(u, norm, out=np.full_like(u, np.nan), where=norm > 0.0)
+
+
+def _direction_count(k: int, d: int) -> int:
+    """Number of rows ``_candidate_directions`` yields for k points in R^d."""
+    pairs = k * (k - 1) // 2
+    return pairs if d == 2 else pairs * (pairs - 1) // 2
 
 
 def _least_extent(pts: np.ndarray, present: np.ndarray | None = None) -> np.ndarray:

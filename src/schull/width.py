@@ -39,6 +39,7 @@ from .errors import CapabilityError, DatasetError
 from .geometry import (
     HULL_DIMS,
     _CHUNK,
+    _direction_count,
     _least_extent,
     _order_keys,
     _runs,
@@ -92,7 +93,7 @@ def _witness_runs(ds: StochasticDataset, ranks: np.ndarray, first, total=lambda:
     levels = [level] * ds.dim
     root = np.reshape(first, (-1, 1))
     # a cell's values: n exclusions, or (d + 1) projections on each kernel direction
-    held = max(len(pi), (ds.dim + 1) * (3 if ds.dim == 2 else 15))
+    held = max(len(pi), (ds.dim + 1) * _direction_count(ds.dim + 1, ds.dim))
     for prefix, excls, _, mass, keys, last in _walk(pts, pi, ranks, root, levels, total):
         sizes = last.sum(axis=1)
         for rows in _runs(sizes * held):
@@ -209,9 +210,7 @@ def _exact_cell_widths(pts, pi, verts, free_rows, sizes, exact):
     values = np.full(len(verts), np.nan)
     for k in set(sizes[exact].tolist()):
         size = k + d + 1
-        pairs = size * (size - 1) // 2
-        directions = pairs if d == 2 else pairs * (pairs - 1) // 2
-        step = max(1, _CHUNK // (directions * max(1 << k, size)))
+        step = max(1, _CHUNK // (_direction_count(size, d) * max(1 << k, size)))
         cells = np.flatnonzero(exact & (sizes == k))
         for s in range(0, len(cells), step):
             c = cells[s:s + step]

@@ -5,21 +5,34 @@ Ties are decided with the package's ``EPS_GEO``, for desk-scale inputs.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
 from schull import CapabilityError, DatasetError, GeometryError
+from schull.dataset import _exact_coords
 from schull.geometry import (
     EPS_GEO,
     HULL_DIMS,
     _least_extent,
-    as_points,
     distance_matrix,
     dists_to_flat,
     lex_ranks,
 )
 from schull.width import _witness_runs
+
+
+def as_points(points) -> np.ndarray:
+    """Coerce to a (m, d) float64 array and reject non-finite coordinates."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    if pts.ndim != 2:
+        raise GeometryError(f"expected a 2-d point array, got shape {pts.shape}")
+    if pts.size and not np.isfinite(pts).all():
+        raise GeometryError("non-finite coordinate in point array")
+    return pts
 
 
 def after_in_order(dist, ref, ranks, ref_rank):
@@ -613,3 +626,52 @@ def witness_cells(ds):
                     verts = tuple(order)
                     free = [i for i in np.flatnonzero(~ex).tolist() if i not in verts]
                     yield verts, prob, tuple(np.flatnonzero(ex).tolist()), tuple(free)
+
+
+def _det(rows) -> int:
+    """Determinant of a square matrix of Python integers, exactly."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def face_prob_exact(ds, verts) -> Fraction:
+    """``face_prob`` as an exact Fraction, for general-position d = 2, 3.
+
+    Sides are orientation signs on ``dataset._exact_coords``: the sign of
+    det(p_v - p_v0 for v in the hyperplane's other points, then p_x - p_v0).
+    A facet's other points leave one open side empty.  A (d-2)-face's
+    other present points leave it outside their hull: none is present, or
+    exactly one present a has no present point right of the hyperplane
+    through the face and a.
+    """
+    q = _exact_coords(ds.points).tolist()
+    omp = [1 - Fraction(p) for p in ds.probs.tolist()]
+
+    def side(plane, x):
+        rel = [[c - c0 for c, c0 in zip(q[v], q[plane[0]])] for v in (*plane[1:], x)]
+        sign = _det(rel)
+        if sign == 0:
+            raise GeometryError(f"point {x} lies on the hyperplane through {plane}")
+        return sign > 0
+
+    def empty(pts):
+        out = Fraction(1)
+        for x in pts:
+            out *= omp[x]
+        return out
+
+    rest = [x for x in range(len(ds)) if x not in verts]
+    present = Fraction(1)
+    for v in verts:
+        present *= 1 - omp[v]
+    if len(verts) == ds.dim:
+        up = [x for x in rest if side(verts, x)]
+        left, right = empty(up), empty(x for x in rest if x not in up)
+        return present * (left + right - left * right)
+    outside = empty(rest)
+    for a in rest:
+        right = [x for x in rest if x != a and not side((*verts, a), x)]
+        outside += (1 - omp[a]) * empty(right)
+    return present * outside

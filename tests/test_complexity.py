@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     random_points,
     sweep_stats,
 )
+from reference import face_prob_exact
 
 
 # --- membership ---
@@ -128,6 +130,63 @@ def test_face_prob_validation(rng):
 def test_face_prob_rest_empty():
     ds = StochasticDataset([[0.0, 0.0], [1.0, 0.5]], [0.3, 0.7])
     assert face_prob(ds, (0, 1)) == pytest.approx(0.21)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_face_prob_is_the_sweep_term(d):
+    # a facet's probability is its hyperplane's term in the sweep, bit for bit
+    rng = np.random.default_rng(3400 + d)
+    for _ in range(4):
+        n = int(rng.integers(d + 2, 12))
+        probs = rng.uniform(0.1, 0.95, n)
+        probs[rng.choice(n, 2, replace=False)] = 1.0
+        ds = StochasticDataset(random_points(rng, n, d), probs)
+        pi = ds.probs
+        for fixed, new, left, right in _sweep_groups(ds):
+            for b, pl, pr in zip(new.tolist(), left.tolist(), right.tolist()):
+                want = np.prod(pi[list(fixed)]) * pi[b] * (pl + pr - pl * pr)
+                assert face_prob(ds, fixed + (b,)) == want
+
+
+# Near-degenerate sets, each with a face whose group meets the
+# near-degeneracy.  B and E are refused by the sweep's angular test; C and
+# D hold a point within 1e-9 of the face's span, at an angle the sweep
+# answers.
+_NEAR_DEGENERATE = {
+    "B": ([[0, 0], [1, 0], [10, 2e-9], [0.3, 0.7], [0.6, -0.5]], (0, 1), True),
+    "C": ([[0, 0], [1, 0], [0.5, 9e-10], [0.3, 0.7], [0.6, -0.5]], (0, 1), False),
+    "D": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 9e-10], [0.2, 0.1, 0.8],
+           [0.5, 0.6, -0.7]], (0, 1, 2), False),
+    "E": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [8, 9, 3e-9], [0.2, 0.1, 0.8],
+           [0.5, 0.6, -0.7]], (0, 1, 2), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_DEGENERATE))
+def test_face_prob_refuses_what_the_sweep_refuses(name):
+    pts, face, refused = _NEAR_DEGENERATE[name]
+    ds = StochasticDataset(pts, [0.5] * len(pts))
+    if refused:
+        with pytest.raises(GeometryError):
+            expected_face_counts(ds)
+        with pytest.raises(GeometryError):
+            face_prob(ds, face)
+        return
+    facets = [face_prob(ds, f) for f in combinations(range(len(ds)), ds.dim)]
+    oracle = oracle_face_expectations(ds)
+    assert expected_face_counts(ds) == pytest.approx(oracle, abs=1e-12)
+    assert sum(facets) == pytest.approx(oracle[-1], abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_face_prob_exact_values(d):
+    # high probabilities make a complement of a value near 1 lose the most
+    rng = np.random.default_rng(3410 + d)
+    ds = StochasticDataset(random_points(rng, 9, d), np.full(9, 0.97))
+    for k in (d - 1, d):
+        for face in combinations(range(9), k):
+            want = face_prob_exact(ds, face)
+            assert abs(Fraction(face_prob(ds, face)) - want) <= 1e-13 * want
 
 
 def test_face_prob_matches_enumeration_2d(rng):
@@ -235,7 +294,7 @@ def test_sweep_degenerate_inputs():
     # the same degeneracies reach face probabilities through the one kernel
     with pytest.raises(GeometryError, match=r"points \[0, 1, 2\] lie on a common"):
         face_prob(collinear, (0,))
-    with pytest.raises(GeometryError, match=r"point 3 lies on the affine span of .*\[0, 1, 2\]"):
+    with pytest.raises(GeometryError, match=r"points \[0, 1, 2, 3\] lie on a common"):
         face_prob(StochasticDataset(cube, [0.5] * 8), (0, 1, 2))
     # a facet whose last vertex lies on the span of the others
     with pytest.raises(GeometryError, match=r"point 2 lies on the affine span of .*\[0, 1\]"):

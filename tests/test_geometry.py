@@ -3,6 +3,8 @@ import pytest
 
 from schull import CapabilityError, GeometryError, hardness_instance
 from schull.geometry import (
+    _candidate_directions,
+    _direction_count,
     _least_extent,
     _order_keys,
     distance_matrix,
@@ -29,6 +31,13 @@ def test_lex_ranks_match_pairwise_order(rng):
     for shape in ((2, 0), (0, 0)):
         with pytest.raises(GeometryError):
             lex_ranks(np.zeros(shape))
+
+
+def test_direction_count_matches_candidate_rows(rng):
+    for d in (2, 3):
+        for k in range(2, 9):
+            chunks = _candidate_directions(random_points(rng, k, d))
+            assert _direction_count(k, d) == sum(u.shape[-2] for u in chunks)
 
 
 def _pairwise_after(dist, ranks):
